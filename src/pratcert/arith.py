@@ -19,6 +19,7 @@ __all__ = [
     "mult_order",
     "padic_valuation",
     "primes_up_to",
+    "sqrt_mod_prime_power",
 ]
 
 # Proven deterministic for all n < 3_317_044_064_679_887_385_961_981 > 2**64.
@@ -255,3 +256,53 @@ def primes_up_to(n: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return [i for i, flag in enumerate(sieve) if flag]
+
+
+def _tonelli_shanks(a: int, p: int) -> int:
+    # a square root of a nonzero quadratic residue a modulo an odd prime p
+    a %= p
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    m_, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m_ - i - 1), p)
+        m_, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def sqrt_mod_prime_power(a: int, p: int, k: int) -> list[int]:
+    """Every x in [0, p**k) with x*x = a (mod p**k), ascending; p prime.
+
+    For odd p not dividing a: Tonelli-Shanks mod p, then Newton (Hensel)
+    steps that double the precision, giving exactly the two roots +-x.  For
+    p = 2, or p dividing a, each root mod p**j is lifted by trying its p
+    lifts mod p**(j+1); every root mod p**(j+1) reduces to a root mod p**j,
+    so none is missed.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    pk = p**k
+    if p > 2 and a % p:
+        if pow(a, (p - 1) // 2, p) != 1:
+            return []
+        x, q = _tonelli_shanks(a, p), p
+        while q < pk:
+            q = min(q * q, pk)
+            x = (x - (x * x - a) * pow(2 * x, -1, q)) % q
+        return sorted((x, pk - x))
+    roots, q = [a % p], p
+    while q < pk:
+        roots = [y for x in roots for y in range(x, q * p, q) if (y * y - a) % (q * p) == 0]
+        q *= p
+    return sorted(roots)

@@ -12,10 +12,12 @@ a verdict.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from math import isqrt
+from typing import Iterator
 
-from .arith import factor, kronecker
+from .arith import factor, kronecker, sqrt_mod_prime_power
 from .quadratic import fundamental_unit, make_field, unit_norm_sign
 
 __all__ = [
@@ -49,26 +51,94 @@ def is_fundamental_discriminant(d: int) -> bool:
     return False
 
 
+def _extend_spf(spf: array, hi: int) -> None:
+    """Extend a smallest-prime-factor table (spf[k] for 2 <= k < len(spf)) to k < hi."""
+    lo = len(spf)
+    spf.extend(range(lo, hi))
+    # downward, so that each smaller prime overwrites the larger ones; a
+    # composite j writes only on multiples that a prime below j overwrites
+    # afterwards
+    for j in range(isqrt(hi - 1), 1, -1):
+        start = max(j * j, -(-lo // j) * j)
+        spf[start::j] = array("I", [j]) * len(range(start, hi, j))
+
+
+def _reduced_forms(disc: int) -> Iterator[tuple[int, int, int]]:
+    """Reduced forms (a, b, c) of discriminant disc with a > 0, by a.
+
+    disc < 0: the reduced definite forms, |b| <= a <= c with b >= 0 when
+    |b| = a or a = c, so a <= sqrt(|disc|/3).  disc > 0, not a square: the
+    reduced indefinite forms with a > 0, 0 < b < sqrt(disc) and
+    sqrt(disc) - b < 2a < sqrt(disc) + b, so a <= isqrt(disc).
+
+    For each a, the b with b^2 = disc (mod 4a) form whole classes mod 2a.
+    Their residues are combined by CRT from the square roots of disc modulo
+    each prime power of 4a, found once per prime power and kept for the
+    call; a is factored by a smallest-prime-factor table of 4 bytes per a,
+    grown as a advances.
+    """
+    s = isqrt(abs(disc))
+    a_max = isqrt(-disc // 3) if disc < 0 else s
+    spf = array("I", [0, 1])
+    # modulus -> roots; the empty tuple, shared, where there is none
+    roots_by_modulus: dict[int, tuple[int, ...]] = {}
+
+    def roots(p: int, k: int) -> tuple[int, tuple[int, ...]]:
+        # b mod p^k with b^2 = disc (mod p^k); for p = 2, k is the exponent
+        # of 2 in 4a, and b matters only mod 2^(k-1)
+        q = p**k if p > 2 else 2 ** (k - 1)
+        if q not in roots_by_modulus:
+            rs = sqrt_mod_prime_power(disc, p, k)
+            roots_by_modulus[q] = tuple(sorted({r % q for r in rs}))
+        return q, roots_by_modulus[q]
+
+    for a in range(1, a_max + 1):
+        if a == len(spf):
+            # doubling: the table's memory follows the progress of a
+            _extend_spf(spf, min(2 * a, a_max + 1))
+        e = (a & -a).bit_length() - 1
+        parts = [roots(2, e + 2)]
+        n = a >> e
+        while n > 1 and parts[-1][1]:
+            p, k = spf[n], 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            parts.append(roots(p, k))
+        if not parts[-1][1]:
+            continue
+        residues, modulus = [0], 1
+        for q, rs in parts:
+            inv = pow(modulus, -1, q)
+            residues = [r + modulus * ((t - r) * inv % q) for r in residues for t in rs]
+            modulus *= q
+        two_a, four_a = 2 * a, 4 * a
+        if disc < 0:
+            for r in residues:
+                b = r if r <= a else r - two_a
+                c = (b * b - disc) // four_a
+                if c > a or (c == a and b >= 0):
+                    yield (a, b, c)
+        else:
+            lo = max(s - two_a + 1, two_a - s)
+            for r in residues:
+                for b in range(lo + (r - lo) % two_a, s + 1, two_a):
+                    yield (a, b, (b * b - disc) // four_a)
+
+
 def h_imaginary(disc: int) -> ClassNumberResult:
     """Class number of an imaginary quadratic field by counting reduced forms.
 
     A form (a, b, c) with b^2 - 4ac = disc is reduced when |b| <= a <= c,
-    taking b >= 0 whenever |b| = a or a = c.  O(|disc|) work.
+    taking b >= 0 whenever |b| = a or a = c.  The forms are enumerated by
+    their leading coefficient a <= sqrt(|disc|/3), O(sqrt|disc| * 2^omega(a))
+    work.
     """
     if disc >= 0:
         raise ValueError("disc must be negative")
     if not is_fundamental_discriminant(disc):
         raise ValueError("disc must be a fundamental discriminant")
-    d = -disc
-    h = 0
-    b = d & 1
-    bmax = isqrt(d // 3)
-    while b <= bmax:
-        n = (b * b + d) // 4
-        for a in range(max(b, 1), isqrt(n) + 1):
-            if n % a == 0:
-                h += 1 if b == 0 or a == b or a * a == n else 2
-        b += 2
+    h = sum(1 for _ in _reduced_forms(disc))
     return ClassNumberResult(disc=disc, h=h, h_plus=None, method="reduced-form count")
 
 
@@ -93,22 +163,18 @@ def h_charsum_oracle(disc: int) -> int:
 
 
 def reduced_indefinite_forms(disc: int) -> set[tuple[int, int, int]]:
-    """All reduced indefinite forms (a, b, c) of positive discriminant disc.
+    """All reduced indefinite forms (a, b, c) of a nonsquare discriminant disc > 0.
 
     Reduced means 0 < b < sqrt(disc) and sqrt(disc) - b < 2|a| < sqrt(disc) + b;
-    the same inequality then holds for |c| automatically.
+    the same inequality then holds for |c| automatically.  Each form with
+    a > 0 comes with its partner (-a, b, -c).
     """
-    s = isqrt(disc)
+    if disc <= 0:
+        raise ValueError("disc must be positive")
     forms: set[tuple[int, int, int]] = set()
-    for b in range(2 - (disc & 1), s + 1, 2):
-        n = (disc - b * b) // 4
-        lo = (s - b) // 2 + 1
-        hi = (s + b) // 2
-        for a in range(max(lo, 1), hi + 1):
-            if n % a == 0:
-                c = n // a
-                forms.add((a, b, -c))
-                forms.add((-a, b, c))
+    for a, b, c in _reduced_forms(disc):
+        forms.add((a, b, c))
+        forms.add((-a, b, -c))
     return forms
 
 

@@ -90,26 +90,38 @@ class FamilyParams:
     mu_p_in_field: bool = False
 
 
+# is_prime is proven deterministic below this bound and refuses larger input
+_PRIME_BOUND = 1 << 64
+
+
 def family_violations(p: int, q: int, d: int) -> list[str]:
     """Every violated family condition, by name; empty list means valid.
 
     Conditions: p prime > 3; q an odd prime distinct from p with
     q = -1 (mod p); d >= 1 squarefree, coprime to pq, with -d a quadratic
-    non-residue mod p and mod q.
+    non-residue mod p and mod q.  p, q and d must be below 2^64, where
+    primality (and so the squarefree test of d) is decided
+    deterministically.
     """
     reasons: list[str] = []
-    p_ok = p > 3 and is_prime(p)
-    if not p_ok:
+    p_ok = 3 < p < _PRIME_BOUND and is_prime(p)
+    if p >= _PRIME_BOUND:
+        reasons.append("p must be below 2^64")
+    elif not p_ok:
         reasons.append("p must be a prime greater than 3")
-    q_ok = q >= 3 and q % 2 == 1 and is_prime(q)
-    if not q_ok:
+    q_ok = 3 <= q < _PRIME_BOUND and q % 2 == 1 and is_prime(q)
+    if q >= _PRIME_BOUND:
+        reasons.append("q must be below 2^64")
+    elif not q_ok:
         reasons.append("q must be an odd prime")
     if p_ok and q_ok and q == p:
         reasons.append("q must be distinct from p")
     if p_ok and q_ok and q != p and (q + 1) % p != 0:
         reasons.append("q must be congruent to -1 modulo p")
-    d_ok = d >= 1
-    if not d_ok:
+    d_ok = 1 <= d < _PRIME_BOUND
+    if d >= _PRIME_BOUND:
+        reasons.append("d must be below 2^64")
+    elif not d_ok:
         reasons.append("d must be a positive integer")
     elif d > 1 and not _is_squarefree(d):
         reasons.append("d must be squarefree")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import is_prime, mult_order
+from .arith import is_prime, mult_order, sqrt_mod_prime_power
 from .quadratic import QuadElem, QuadField, norm_trace
 
 __all__ = [
@@ -49,44 +49,15 @@ def _require_p(p: int) -> None:
         raise ValueError("p must be a prime >= 5")
 
 
-def _sqrt_mod_prime(a: int, p: int) -> int:
-    # Tonelli-Shanks; a must be a nonzero residue
-    a %= p
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise ValueError("not a quadratic residue")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    m_, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m_ - i - 1), p)
-        m_, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
-
-
 def classify_splitting(field: QuadField, p: int) -> LocalContext:
     """Splitting of p in the field: ramified iff p | disc, split iff
     kronecker(disc, p) = +1, inert otherwise."""
     _require_p(p)
     if field.disc % p == 0:
         return LocalContext(p=p, field=field, kind="ramified", sqrt_lifts=None)
-    p2 = p * p
-    a = field.m % p
-    if pow(a, (p - 1) // 2, p) == 1:
-        r = _sqrt_mod_prime(a, p)
-        # Hensel lift to mod p**2
-        r = (r - (r * r - field.m) * pow(2 * r, -1, p2)) % p2
-        return LocalContext(p=p, field=field, kind="split", sqrt_lifts=tuple(sorted((r, p2 - r))))
+    lifts = sqrt_mod_prime_power(field.m, p, 2)
+    if lifts:
+        return LocalContext(p=p, field=field, kind="split", sqrt_lifts=tuple(lifts))
     return LocalContext(p=p, field=field, kind="inert", sqrt_lifts=None)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 from ._version import __version__
-from .arith import is_prime, kronecker, primes_up_to
+from .arith import is_prime, kronecker
 from .criteria import CERTIFIED_FREE, NOT_CERTIFIED, SCHEMA_VERSION, certify_freeness
 
 __all__ = [
@@ -154,6 +154,12 @@ def _compute(todo: list[tuple[int, int, int]], jobs: int) -> Iterator[ScanRecord
         yield from pool.map(_worker, todo, chunksize=chunksize)
 
 
+def _candidates(p: int, q_max: int) -> list[int]:
+    # only q = kp - 1 can be in the family: test those alone, so that memory
+    # and time follow the candidates rather than every integer up to q_max
+    return [q for q in range(p - 1, q_max + 1, p) if is_prime(q)]
+
+
 def scan_records(
     p: int, d: int, q_max: int, *, cache: str | None = None, jobs: int = 1
 ) -> list[ScanRecord]:
@@ -168,11 +174,11 @@ def scan_records(
     """
     if p < 5 or not is_prime(p):
         raise ValueError("p must be a prime >= 5")
-    if q_max < 0:
-        raise ValueError("q_max must be >= 0")
+    if not 0 <= q_max < 1 << 64:
+        raise ValueError("q_max must be >= 0 and below 2^64")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    candidates = [q for q in primes_up_to(q_max) if (q + 1) % p == 0]
+    candidates = _candidates(p, q_max)
     cached: dict[int, ScanRecord] = {}
     if cache is not None:
         cached = _load_cache(cache, p, d)

@@ -213,3 +213,44 @@ def stabilized_place_count(q: int, f: int, p: int, max_layer: int = 14) -> int:
             return cur
         prev = cur
     raise AssertionError(f"place count did not stabilize by layer {max_layer}")
+
+
+def brute_h_imaginary(disc: int) -> int:
+    """Class number of a fundamental disc < 0 by the O(|disc|) form count.
+
+    For each b of the parity of disc up to sqrt(|disc|/3), every divisor
+    a of (b^2 + |disc|)/4 with b <= a <= sqrt of it gives a reduced form
+    (a, +-b, c); boundary forms (b = 0, a = b or a = c) count once.
+    """
+    d = -disc
+    h = 0
+    b = d & 1
+    bmax = isqrt(d // 3)
+    while b <= bmax:
+        n = (b * b + d) // 4
+        for a in range(max(b, 1), isqrt(n) + 1):
+            if n % a == 0:
+                h += 1 if b == 0 or a == b or a * a == n else 2
+        b += 2
+    return h
+
+
+def brute_reduced_indefinite_forms(disc: int) -> set[tuple[int, int, int]]:
+    """All reduced indefinite forms of a nonsquare disc > 0, by the
+    O(disc) divisor search over 0 < b < sqrt(disc).
+
+    Reduced means sqrt(disc) - b < 2|a| < sqrt(disc) + b; each divisor a
+    of (disc - b^2)/4 in that window gives (a, b, -c) and (-a, b, c).
+    """
+    s = isqrt(disc)
+    forms: set[tuple[int, int, int]] = set()
+    for b in range(2 - (disc & 1), s + 1, 2):
+        n = (disc - b * b) // 4
+        lo = (s - b) // 2 + 1
+        hi = (s + b) // 2
+        for a in range(max(lo, 1), hi + 1):
+            if n % a == 0:
+                c = n // a
+                forms.add((a, b, -c))
+                forms.add((-a, b, c))
+    return forms

@@ -15,6 +15,7 @@ from pratcert.arith import (
     mult_order,
     padic_valuation,
     primes_up_to,
+    sqrt_mod_prime_power,
 )
 from _oracles import brute_factor, naive_kronecker_prime, squares_mod
 
@@ -185,3 +186,15 @@ def test_primes_up_to():
     sieve = primes_up_to(10_000)
     assert len(sieve) == 1229
     assert all(is_prime(p) for p in sieve)
+
+
+def test_sqrt_mod_prime_power_matches_square_search():
+    # odd p through Tonelli-Shanks and Newton, p = 2 and p | a by lifting
+    for p, k_max in ((2, 7), (3, 5), (5, 3), (7, 3), (13, 2), (17, 1), (97, 1)):
+        for k in range(1, k_max + 1):
+            m = p**k
+            for a in range(-3 * m, 3 * m, max(1, m // 40)):
+                expected = [x for x in range(m) if (x * x - a) % m == 0]
+                assert sqrt_mod_prime_power(a, p, k) == expected, (a, p, k)
+    with pytest.raises(ValueError):
+        sqrt_mod_prime_power(1, 5, 0)

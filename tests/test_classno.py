@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pratcert.classno import (
     h_charsum_oracle,
@@ -13,6 +14,7 @@ from pratcert.classno import (
     reduced_indefinite_forms,
     rho_step,
 )
+from _oracles import brute_h_imaginary, brute_reduced_indefinite_forms
 
 
 def test_fundamental_discriminant_predicate():
@@ -132,3 +134,69 @@ def test_analytic_oracle_rejects_bad_input():
         h_real_analytic_oracle(-8)
     with pytest.raises(ValueError):
         h_real_analytic_oracle(20)
+
+
+def _matches_oracle(disc: int) -> None:
+    if disc < 0:
+        assert h_imaginary(disc).h == brute_h_imaginary(disc), disc
+    else:
+        assert reduced_indefinite_forms(disc) == brute_reduced_indefinite_forms(disc), disc
+
+
+def test_reduced_forms_match_brute_oracles_below_5000():
+    # every fundamental discriminant with 0 < |disc| < 5000, both signs
+    for disc in range(-4999, 5000):
+        if is_fundamental_discriminant(disc):
+            _matches_oracle(disc)
+
+
+def _near_ten_million(sign: int, per_class: int) -> list[int]:
+    # the first fundamental discriminants beyond sign * 10^7 in each class
+    # mod 16 that a fundamental discriminant can fall in (8 and 12 are the
+    # even ones, 8 those divisible by 8)
+    out = []
+    for cls in (1, 5, 9, 13, 8, 12):
+        disc, found = sign * 10**7, 0
+        while found < per_class:
+            if disc % 16 == cls and is_fundamental_discriminant(disc):
+                out.append(disc)
+                found += 1
+            disc += sign
+    return out
+
+
+def _square_mod(disc: int, m: int) -> bool:
+    return any((x * x - disc) % m == 0 for x in range(m))
+
+
+def test_reduced_forms_match_brute_oracles_near_ten_million():
+    discs = _near_ten_million(-1, 4) + _near_ten_million(1, 2)
+    # a <= sqrt(|disc|)/2 with disc a square mod 4a always leaves a reduced
+    # form with leading coefficient a; make sure the set reaches a
+    # divisible by 27 (Hensel to 3^3), by 2^6 (2-adic lifting) and by a
+    # large odd square (Hensel at a prime near sqrt(a_max))
+    for sign in (-1, 1):
+        side = [disc for disc in discs if disc * sign > 0]
+        assert {disc % 16 for disc in side} == {1, 5, 9, 13, 8, 12}
+        for a in (27, 64, 31 * 31):
+            assert any(_square_mod(disc, 4 * a) for disc in side), (sign, a)
+    for disc in discs:
+        _matches_oracle(disc)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(st.integers(-2 * 10**5, 2 * 10**5).filter(is_fundamental_discriminant))
+def test_class_numbers_match_oracles_property(disc):
+    if disc < 0:
+        h = h_imaginary(disc).h
+        assert h == brute_h_imaginary(disc)
+        if disc < -4:
+            assert h == h_charsum_oracle(disc)
+    else:
+        assert reduced_indefinite_forms(disc) == brute_reduced_indefinite_forms(disc)
+
+
+def test_reduced_indefinite_forms_rejects_non_positive():
+    for disc in (0, -8):
+        with pytest.raises(ValueError):
+            reduced_indefinite_forms(disc)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 from pratcert._version import __version__
 from pratcert.cli import EXIT_OK, EXIT_USAGE, main
@@ -68,6 +69,13 @@ def test_check_invalid_params_exit_usage(capsys) -> None:
     assert "error: q must be an odd prime" in err
 
 
+def test_check_beyond_64_bits_exits_usage(capsys) -> None:
+    code, out, err = run(capsys, ["check", "--p", "5", "--q", str(2**64 + 13), "--d", "2"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: q must be below 2^64\n"
+
+
 def test_check_csv_has_key_value_rows(capsys) -> None:
     code, out, _ = run(capsys, ["check", "--p", "7", "--q", "13", "--d", "2", "--format", "csv"])
     assert code == EXIT_OK
@@ -89,6 +97,30 @@ def test_quad_unit_formats(capsys) -> None:
     assert (payload["den"], payload["norm"]) == (1, 1)
     _, out, _ = run(capsys, ["quad", "unit", "--m", "91", "--format", "csv"])
     assert out.splitlines() == ["m,x,y,den,norm", "91,1574,165,1,1"]
+
+
+def test_quad_unit_prints_units_beyond_the_digit_limit(capsys) -> None:
+    # the unit has about 14100 digits, above the interpreter's default
+    # 4300-digit limit on int <-> str conversion, which main lifts and restores
+    m = 10000000055
+    limit = sys.get_int_max_str_digits()
+    code, text, err = run(capsys, ["quad", "unit", "--m", str(m)])
+    assert (code, err) == (EXIT_OK, "")
+    code, out, err = run(capsys, ["quad", "unit", "--m", str(m), "--format", "json"])
+    assert (code, err) == (EXIT_OK, "")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        payload = json.loads(out)
+        body, norm = text.rstrip("\n").split(", norm ")
+        x, y = body.split(f"*sqrt({m})")[0].split(" + ")
+        parsed = (int(x), int(y), 1, int(norm))  # m = 3 (mod 4): den is 1
+    finally:
+        sys.set_int_max_str_digits(limit)
+    x, y, den, norm = (payload[key] for key in ("x", "y", "den", "norm"))
+    assert x.bit_length() > 4300 * 3.33  # more than 4300 decimal digits
+    assert (x, y, den, norm) == parsed
+    assert x * x - m * y * y == norm * den * den
 
 
 def test_quad_unit_rejects_bad_radicand(capsys) -> None:

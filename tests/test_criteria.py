@@ -200,6 +200,24 @@ def test_certify_invalid_params_is_an_answer_not_an_exception():
     assert report.facts == {}
 
 
+def test_certify_beyond_64_bits_is_an_invalid_report():
+    # primality is decided only below 2^64; a larger p, q or d is named,
+    # not raised
+    big = 2**64 + 9
+    report = certify_freeness(5, big, 2)
+    assert report.verdict == NOT_CERTIFIED
+    assert report.invalid == ("q must be below 2^64",)
+    assert report.facts == {}
+    assert family_violations(2**64 + 13, big, 2) == [
+        "p must be below 2^64",
+        "q must be below 2^64",
+    ]
+    # 2^64 + 13 has a cofactor above 2^64 that is_prime would refuse
+    assert family_violations(7, 13, 2**64 + 13) == ["d must be below 2^64"]
+    # the largest prime below 2^64 is a member for p = 7, d = 2
+    assert family_violations(7, 2**64 - 59, 2) == []
+
+
 def test_certify_verdict_invariant_under_unit_renormalization():
     base = certify_freeness(*GOLDEN)
     eps = fundamental_unit(make_field(7 * 13)).elem

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from pratcert import arith, scan
 from pratcert._version import __version__
 from pratcert.arith import primes_up_to
 from pratcert.criteria import (
@@ -17,6 +18,7 @@ from pratcert.criteria import (
 from pratcert.scan import (
     ScanRecord,
     TableRow,
+    _candidates,
     _validate_emitted,
     record_for,
     reproduce_table,
@@ -101,12 +103,29 @@ def test_scan_records_covers_every_candidate() -> None:
     assert [rec.q for rec in records] == expected
 
 
+def test_candidates_equal_the_filtered_sieve() -> None:
+    for p, q_max in ((5, 0), (5, 4), (5, 19), (7, 1000), (13, 5000), (431, 10**4), (5, 30011)):
+        expected = [q for q in primes_up_to(q_max) if (q + 1) % p == 0]
+        assert _candidates(p, q_max) == expected, (p, q_max)
+
+
+def test_scan_records_never_sieves_up_to_q_max(monkeypatch) -> None:
+    def refuse(n: int) -> list[int]:
+        raise AssertionError(f"primes_up_to({n}) called")
+
+    monkeypatch.setattr(arith, "primes_up_to", refuse)
+    monkeypatch.setattr(scan, "primes_up_to", refuse, raising=False)
+    assert [rec.q for rec in scan_records(5, 2, 200)] == [19, 29, 59, 79, 89, 109, 139, 149, 179, 199]
+
+
 def test_scan_records_rejects_bad_inputs() -> None:
     for p in (4, 1, -5, 15):
         with pytest.raises(ValueError, match="p must be a prime >= 5"):
             scan_records(p, 2, 100)
     with pytest.raises(ValueError, match="q_max must be >= 0"):
         scan_records(5, 2, -1)
+    with pytest.raises(ValueError, match="below 2\\^64"):
+        scan_records(5, 2, 2**64)
     with pytest.raises(ValueError, match="jobs must be >= 1"):
         scan_records(5, 2, 100, jobs=0)
 
