@@ -8,8 +8,11 @@ uses floating point.
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import Iterator
 
 __all__ = [
     "Factorization",
@@ -20,6 +23,7 @@ __all__ = [
     "padic_valuation",
     "primes_up_to",
     "sqrt_mod_prime_power",
+    "unlimited_int_digits",
 ]
 
 # Proven deterministic for all n < 3_317_044_064_679_887_385_961_981 > 2**64.
@@ -306,3 +310,21 @@ def sqrt_mod_prime_power(a: int, p: int, k: int) -> list[int]:
         roots = [y for x in roots for y in range(x, q * p, q) if (y * y - a) % (q * p) == 0]
         q *= p
     return sorted(roots)
+
+
+@contextmanager
+def unlimited_int_digits() -> Iterator[None]:
+    """Lift the interpreter's limit on int <-> str conversion for a block.
+
+    Fundamental units run to tens of thousands of digits, beyond the
+    default limit of 4300; the previous limit is restored on exit.
+    """
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)

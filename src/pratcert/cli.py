@@ -15,6 +15,7 @@ import sys
 from typing import Any
 
 from ._version import __version__
+from .arith import unlimited_int_digits
 from .classno import h_imaginary, h_plus_real
 from .criteria import (
     CERTIFIED_FREE,
@@ -320,16 +321,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # units run to tens of thousands of digits, beyond the interpreter's
-    # default limit on int <-> str conversion; lifted for this call only
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
+    # units are printed as text and JSON, both beyond the default digit limit
+    with unlimited_int_digits():
         return _run(argv)
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
 
 
 def _run(argv: list[str] | None) -> int:

@@ -397,11 +397,10 @@ def certify_freeness(
     e_s_generated, and no p-th roots of unity in the field.
 
     exact=False reduces the unit coordinates modulo p**5 * q**3 during the
-    continued-fraction walk (orders of magnitude faster for scans) and
-    reports valuations >= 3 as the symbol ">=3"; it falls back to the exact
-    unit when the radicand is 5 mod 8, where a half-integral unit could
-    hide below the integral one.  lazy=True stops at the first failing
-    stage, recording the facts computed so far.
+    continued-fraction walk (orders of magnitude faster for scans), with the
+    denominator 2 of a half-integral unit inverted, and reports valuations
+    >= 3 as the symbol ">=3".  lazy=True stops at the first failing stage,
+    recording the facts computed so far.
 
     Parameter violations produce a NOT_CERTIFIED report with the violations
     in ``invalid``; no exception escapes for bad (p, q, d).
@@ -465,24 +464,18 @@ def certify_freeness(
 
     # stage 4: fundamental unit of the real subfield
     exact_elem: QuadElem | None = None
-    reduced: tuple[int, int, int] | None = None
     if _unit_elem is not None:
         if _unit_elem.field != real_field:
             raise ValueError("substitute unit lives in the wrong field")
         exact_elem = _unit_elem
     elif exact:
         exact_elem = fundamental_unit(real_field).elem
-    else:
-        reduced = fundamental_unit_mod(real_field, p**5 * q**3)
-        if reduced is None:
-            exact_elem = fundamental_unit(real_field).elem
     if exact_elem is not None:
         ux, uy, uden = exact_elem.x, exact_elem.y, exact_elem.den
         unit_norm = exact_elem.norm()
         mode = "exact"
     else:
-        assert reduced is not None
-        ux, uy, unit_norm = reduced
+        ux, uy, unit_norm = fundamental_unit_mod(real_field, p**5 * q**3)
         uden = 1
         mode = "fast"
     facts["mode"] = mode

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import is_prime, mult_order, sqrt_mod_prime_power
-from .quadratic import QuadElem, QuadField, norm_trace
+from .quadratic import QuadElem, QuadField
 
 __all__ = [
     "LocalContext",
@@ -110,8 +110,7 @@ def is_pth_power_local(u: QuadElem, ctx: LocalContext) -> tuple[bool, ...]:
     """
     if u.field != ctx.field:
         raise ValueError("element and context belong to different fields")
-    n, _ = norm_trace(u)
-    if abs(n) != 1:
+    if abs(u.norm()) != 1:
         raise ValueError("the local p-th power test expects a unit of norm +-1")
     return _pth_power_flags(u.x, u.y, u.den, ctx)
 

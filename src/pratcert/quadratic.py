@@ -1,16 +1,18 @@
 """Quadratic fields Q(sqrt(m)): exact elements, fundamental units,
 and valuations at odd ramified primes.
 
-Units come from the continued fraction of sqrt(m), with period detection on
+Units come from one walk of the continued fraction of
+omega = (P0 + sqrt(D))/2, D the field discriminant, with period detection on
 the exact (P, Q) state.  Facts the implementation leans on (proofs in
 docs/algorithms.md):
 
-  * the convergent just before the first return of Q to 1 gives the minimal
-    solution of x^2 - m y^2 = (-1)^period;
-  * for m = 1 (mod 4) the unit group of Z[sqrt(m)] has index 1 or 3 in the
-    maximal order's, and the index is 1 whenever m = 1 (mod 8), so the
-    half-integral fundamental unit is recovered, when it exists, as an exact
-    integer cube root of the minimal Pell solution;
+  * omega generates the maximal order and is reduced, so its expansion is
+    purely periodic and Q returns to 2 exactly at the end of a period;
+  * with k, k_prev the last two convergent denominators of that period,
+    eps = k omega + k_prev is the fundamental unit of the maximal order,
+    half-integral or not, and N(eps) = (-1)^period;
+  * reducing the convergents modulo n, with 2 inverted (so n odd) when
+    D = m, gives the unit's coordinates modulo n without building them;
   * for an odd prime l dividing the discriminant, the valuation of e at the
     unique prime above l equals the l-adic valuation of N(e);
   * N(u^2 - 1) = 2 + 2 N(u) - T(u)^2 when |N(u)| = 1, so deciding whether
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .arith import factor, is_prime, padic_valuation
+from .arith import factor, is_prime, padic_valuation, unlimited_int_digits
 
 __all__ = [
     "GE3",
@@ -32,7 +34,6 @@ __all__ = [
     "fundamental_unit",
     "fundamental_unit_mod",
     "make_field",
-    "norm_trace",
     "ramified_valuation",
     "unit_norm_sign",
     "unit_sq_minus_one_valuation",
@@ -40,6 +41,10 @@ __all__ = [
 
 # symbolic valuation used by the reduced (modular) scan path
 GE3 = ">=3"
+
+
+def _discriminant(m: int) -> int:
+    return m if m % 4 == 1 else 4 * m
 
 
 @dataclass(frozen=True)
@@ -53,8 +58,7 @@ class QuadField:
     def __post_init__(self) -> None:
         if self.m in (0, 1) or not factor(self.m).is_squarefree():
             raise ValueError("field radicand must be squarefree and not 0 or 1")
-        expected = self.m if self.m % 4 == 1 else 4 * self.m
-        if self.disc != expected or self.is_real != (self.m > 0):
+        if self.disc != _discriminant(self.m) or self.is_real != (self.m > 0):
             raise ValueError("inconsistent field data")
 
 
@@ -65,8 +69,7 @@ def make_field(m0: int) -> QuadField:
     if m0 > 0 and isqrt(m0) ** 2 == m0:
         raise ValueError("radicand must not be a perfect square")
     m = factor(m0).squarefree_core()
-    disc = m if m % 4 == 1 else 4 * m
-    return QuadField(m=m, disc=disc, is_real=m > 0)
+    return QuadField(m=m, disc=_discriminant(m), is_real=m > 0)
 
 
 @dataclass(frozen=True)
@@ -165,13 +168,9 @@ class QuadElem:
 
     def __str__(self) -> str:
         sign = "-" if self.y < 0 else "+"
-        body = f"{self.x} {sign} {abs(self.y)}*sqrt({self.field.m})"
+        with unlimited_int_digits():
+            body = f"{self.x} {sign} {abs(self.y)}*sqrt({self.field.m})"
         return f"({body})/2" if self.den == 2 else body
-
-
-def norm_trace(e: QuadElem) -> tuple[int, int]:
-    """Field norm and trace of e, always exact integers."""
-    return e.norm(), e.trace()
 
 
 @dataclass(frozen=True)
@@ -188,113 +187,69 @@ class FundUnit:
             raise ValueError("the fundamental unit is taken > 1")
 
 
-def _pell_cf(m: int, mod: int | None = None) -> tuple[int, int, int]:
-    """Minimal solution of x^2 - m y^2 = (-1)**period from the CF of sqrt(m).
+def _omega_walk(disc: int, modulus: int | None = None) -> tuple[int, int, int]:
+    """Fundamental unit of the order of discriminant ``disc`` from one period
+    of the continued fraction of omega = (P0 + sqrt(disc))/2.
 
-    With ``mod`` set, the (exponentially growing) convergents are reduced
-    modulo ``mod`` while the (P, Q) state, and hence the period, stays exact.
-    Returns (x, y, period).
+    P0 is the largest integer below sqrt(disc) with P0 = disc (mod 2), so
+    omega is reduced and its complete quotients (P + sqrt(disc))/Q return to
+    omega exactly when Q returns to 2.  The (P, Q) state stays exact; the
+    convergent denominators k are reduced modulo ``modulus`` when it is set.
+    Returns (t, k, norm) with 2*eps = t + k*sqrt(disc), eps = k*omega + k_prev
+    and norm = (-1)**period.
     """
-    a0 = isqrt(m)
-    P, Q, a = 0, 1, a0
-    h_prev, h = 1, a0
-    k_prev, k = 0, 1
-    steps = 0
+    s = isqrt(disc)
+    p0 = s - (s - disc) % 2
+    P, Q = p0, 2
+    k_prev, k = 1, 0
+    period = 0
     while True:
-        P = a * Q - P
-        Q = (m - P * P) // Q
-        steps += 1
-        if Q == 1:
-            return h, k, steps
-        a = (a0 + P) // Q
-        h_prev, h = h, a * h + h_prev
+        a = (P + s) // Q
         k_prev, k = k, a * k + k_prev
-        if mod is not None:
-            h %= mod
-            k %= mod
+        if modulus is not None:
+            k %= modulus
+        P = a * Q - P
+        Q = (disc - P * P) // Q
+        period += 1
+        if Q == 2:
+            return k * p0 + 2 * k_prev, k, -1 if period % 2 else 1
 
 
 def unit_norm_sign(m: int) -> int:
     """Norm of the fundamental unit of Q(sqrt(m)) from the CF period alone."""
-    a0 = isqrt(m)
-    P, Q, a = 0, 1, a0
-    steps = 0
-    while True:
-        P = a * Q - P
-        Q = (m - P * P) // Q
-        steps += 1
-        if Q == 1:
-            return -1 if steps % 2 else 1
-        a = (a0 + P) // Q
-
-
-def _icbrt(n: int) -> int:
-    if n < 0:
-        raise ValueError("negative input")
-    if n == 0:
-        return 0
-    x = 1 << ((n.bit_length() + 2) // 3)
-    while True:
-        x_next = (2 * x + n // (x * x)) // 3
-        if x_next >= x:
-            break
-        x = x_next
-    while x * x * x > n:
-        x -= 1
-    return x
-
-
-def _half_unit_from_cube(m: int, x1: int, n0: int) -> tuple[int, int] | None:
-    # If the minimal Pell solution is a cube of a half-integral unit
-    # (x + y sqrt(m))/2, its trace x satisfies x^3 - 3 n0 x = 2 x1.
-    t1 = 2 * x1
-    guess = _icbrt(t1)
-    for x in range(max(1, guess - 1), guess + 3):
-        if x**3 - 3 * n0 * x == t1:
-            ysq, rem = divmod(x * x - 4 * n0, m)
-            if rem:
-                return None
-            y = isqrt(ysq)
-            if y * y != ysq:
-                return None
-            assert x % 2 == 1 and y % 2 == 1
-            return x, y
-    return None
+    # modulus 1 keeps every convergent at 0: only the period is computed
+    return _omega_walk(_discriminant(m), 1)[2]
 
 
 def fundamental_unit(field: QuadField) -> FundUnit:
     """Fundamental unit > 1 of the maximal order, exact."""
     if not field.is_real:
         raise ValueError("imaginary quadratic fields have no fundamental unit")
-    m = field.m
-    x, y, period = _pell_cf(m)
-    norm = -1 if period % 2 else 1
-    den = 1
-    if m % 8 == 5:
-        half = _half_unit_from_cube(m, x, norm)
-        if half is not None:
-            x, y = half
-            den = 2
-    return FundUnit(elem=QuadElem(field, x, y, den), unit_norm=norm)
+    t, k, norm = _omega_walk(field.disc)
+    # sqrt(disc) is sqrt(m), or 2 sqrt(m) when disc = 4m
+    y = k if field.disc == field.m else 2 * k
+    return FundUnit(elem=QuadElem.make(field, t, y, den=2), unit_norm=norm)
 
 
-def fundamental_unit_mod(field: QuadField, modulus: int) -> tuple[int, int, int] | None:
+def fundamental_unit_mod(field: QuadField, modulus: int) -> tuple[int, int, int]:
     """Fundamental unit coordinates reduced mod ``modulus``: (x, y, norm).
 
-    Only valid when m != 5 (mod 8); in that residue class the unit may be
-    half-integral and cannot be reconstructed from reduced convergents, so
-    None is returned and callers fall back to exact arithmetic.  The norm and
-    the denominator (always 1 here) are exact.
+    eps = (x + y sqrt(m)) with the denominator 2 of a half-integral unit
+    inverted modulo ``modulus``, which must then be odd: for m = 1 (mod 4)
+    an even modulus is refused.  The norm is exact.
     """
     if not field.is_real:
         raise ValueError("imaginary quadratic fields have no fundamental unit")
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
-    m = field.m
-    if m % 8 == 5:
-        return None
-    x, y, period = _pell_cf(m, mod=modulus)
-    return x % modulus, y % modulus, -1 if period % 2 else 1
+    if field.disc == field.m and modulus % 2 == 0:
+        raise ValueError("the modulus must be odd when m = 1 (mod 4)")
+    t, k, norm = _omega_walk(field.disc, modulus)
+    if field.disc == field.m:
+        half = (modulus + 1) // 2
+        return t * half % modulus, k * half % modulus, norm
+    # disc = 4m: P0 and t are even and eps = t/2 + k sqrt(m)
+    return t // 2 % modulus, k, norm
 
 
 def ramified_valuation(e: QuadElem, ell: int) -> int:

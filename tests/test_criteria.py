@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 
 import pytest
 
@@ -218,6 +219,16 @@ def test_certify_beyond_64_bits_is_an_invalid_report():
     assert family_violations(7, 2**64 - 59, 2) == []
 
 
+def test_certify_exact_unit_beyond_the_digit_limit():
+    # facts["unit"] is the unit's text, about 30600 characters here, beyond
+    # the interpreter's default limit of 4300 digits per int
+    limit = sys.get_int_max_str_digits()
+    report = certify_freeness(5, 2000000239, 2)
+    assert sys.get_int_max_str_digits() == limit
+    assert (report.verdict, report.facts["mode"]) == (CERTIFIED_FREE, "exact")
+    assert len(report.facts["unit"]) > 2 * 4300
+
+
 def test_certify_verdict_invariant_under_unit_renormalization():
     base = certify_freeness(*GOLDEN)
     eps = fundamental_unit(make_field(7 * 13)).elem
@@ -246,19 +257,23 @@ def _cap_valuation_text(reason: str) -> str:
 
 
 def test_certify_fast_agrees_with_exact_on_candidates():
-    # every valid family candidate q < 400 for p in {5, 7}, d = 2
-    checked = 0
-    for p in (5, 7):
+    # every valid family candidate q < 400 for p in {5, 7}, d = 2, and for
+    # p = 7, d = 1, where pq = 5 (mod 8) and the unit may be half-integral
+    checked = five_mod_8 = 0
+    for p, d in ((5, 2), (7, 2), (7, 1)):
         for q in range(2, 400):
-            if family_violations(p, q, 2):
+            if family_violations(p, q, d):
                 continue
             checked += 1
-            exact = certify_freeness(p, q, 2, exact=True)
-            fast = certify_freeness(p, q, 2, exact=False)
-            assert exact.verdict == fast.verdict, (p, q)
+            exact = certify_freeness(p, q, d, exact=True)
+            fast = certify_freeness(p, q, d, exact=False)
+            assert fast.mode == fast.facts["mode"] == "fast", (p, q, d)
+            assert "unit" not in fast.facts
+            five_mod_8 += p * q % 8 == 5
+            assert exact.verdict == fast.verdict, (p, q, d)
             assert tuple(map(_cap_valuation_text, exact.reasons)) == tuple(
                 map(_cap_valuation_text, fast.reasons)
-            ), (p, q)
+            ), (p, q, d)
             for key, value in fast.facts.items():
                 if key in ("mode", "unit"):
                     continue
@@ -266,8 +281,8 @@ def test_certify_fast_agrees_with_exact_on_candidates():
                 if value == GE3:
                     assert isinstance(expected, int) and expected >= 3
                 else:
-                    assert value == expected, (p, q, key)
-    assert checked >= 15
+                    assert value == expected, (p, q, d, key)
+    assert checked >= 21 and five_mod_8 >= 4
 
 
 def test_report_dict_round_trip():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -14,7 +15,6 @@ from pratcert.quadratic import (
     fundamental_unit,
     fundamental_unit_mod,
     make_field,
-    norm_trace,
     ramified_valuation,
     unit_norm_sign,
     unit_sq_minus_one_valuation,
@@ -69,9 +69,11 @@ def test_elem_canonical_denominator():
 
 def test_norm_trace_examples():
     f = make_field(91)
-    assert norm_trace(QuadElem(f, 1574, 165)) == (1, 3148)
+    e = QuadElem(f, 1574, 165)
+    assert (e.norm(), e.trace()) == (1, 3148)
     assert QuadElem(f, 1573, 165).norm() == -3146
-    assert norm_trace(QuadElem(f, 0, 1)) == (-91, 0)
+    e = QuadElem(f, 0, 1)
+    assert (e.norm(), e.trace()) == (-91, 0)
 
 
 def test_elem_arithmetic_against_direct_formulas():
@@ -133,6 +135,23 @@ def test_str_rendering():
     assert str(QuadElem(f, 1574, 165)) == "1574 + 165*sqrt(91)"
     assert str(QuadElem(f, 1, -2)) == "1 - 2*sqrt(91)"
     assert str(QuadElem(make_field(5), 1, 1, 2)) == "(1 + 1*sqrt(5))/2"
+
+
+def test_str_renders_units_beyond_the_digit_limit():
+    # about 14100 digits, above the interpreter's default limit of 4300
+    m = 10000000055
+    limit = sys.get_int_max_str_digits()
+    fu = fundamental_unit(make_field(m))
+    text = str(fu.elem)
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        x, y = (int(part) for part in text.split(f"*sqrt({m})")[0].split(" + "))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert fu.elem.den == 1  # m = 3 (mod 4)
+    assert x.bit_length() > 4300 * 3.33
+    assert x * x - m * y * y == fu.unit_norm
 
 
 def test_fundamental_unit_frozen_examples():
@@ -201,7 +220,7 @@ def test_norm_shift_identities_for_units():
     for m in (2, 3, 7, 10, 11, 35, 91, 115, 119):
         fu = fundamental_unit(make_field(m))
         e = fu.elem
-        n, t = norm_trace(e)
+        n, t = e.norm(), e.trace()
         assert (e + 1).norm() == n + t + 1
         assert (e - 1).norm() == n - t + 1
         assert (e * e - 1).norm() == (e - 1).norm() * (e + 1).norm()
@@ -253,9 +272,23 @@ def test_reduced_unit_path_matches_exact_unit():
         assert got == (fu.elem.x % modulus, fu.elem.y % modulus, fu.unit_norm)
 
 
-def test_reduced_unit_path_declines_half_integral_radicands():
-    for m in (5, 13, 21, 29, 37, 53, 61, 69, 77, 85, 93):
-        assert fundamental_unit_mod(make_field(m), 10**6) is None
+def test_reduced_unit_path_inverts_two_for_half_integral_units():
+    # m = 1 (mod 4): the reduced coordinates are the exact ones times den^-1
+    modulus = 5**5 * 13**3
+    halves = 0
+    for m in (5, 13, 21, 29, 37, 53, 61, 69, 77, 85, 93, 17, 33, 41, 57):
+        field = make_field(m)
+        fu = fundamental_unit(field)
+        halves += fu.elem.den == 2
+        inv_den = pow(fu.elem.den, -1, modulus)
+        assert fundamental_unit_mod(field, modulus) == (
+            fu.elem.x * inv_den % modulus,
+            fu.elem.y * inv_den % modulus,
+            fu.unit_norm,
+        ), m
+        with pytest.raises(ValueError):
+            fundamental_unit_mod(field, 10**6)
+    assert halves >= 8
 
 
 def test_reduced_unit_path_rejects_bad_inputs():
