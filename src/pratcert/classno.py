@@ -1,9 +1,13 @@
 """Class numbers of quadratic fields by exact form counting.
 
 Imaginary fields: count reduced positive definite binary quadratic forms.
-Real fields: count rho-cycles of reduced indefinite forms, which gives the
-narrow class number h+; the wide h follows from the norm of the fundamental
-unit.  Two further routines exist purely so the tests can cross-examine the
+Below sqrt|D|/2 the forms with leading coefficient a are the N(a) root
+classes of b^2 = D (mod 4a), summed from a multiplicative N; above, they
+are enumerated.  Real fields: count rho-cycles of reduced indefinite forms,
+which gives the narrow class number h+; the forms are counted the same way
+first, and the cycles are walked from the smallest a until they cover that
+count.  The wide h follows from the norm of the fundamental unit.  Two
+further routines exist purely so the tests can cross-examine the
 primary ones: a character-sum formula for imaginary discriminants and a
 floating-point Dirichlet formula for real ones.  Neither oracle ever feeds
 a verdict.
@@ -63,8 +67,46 @@ def _extend_spf(spf: array, hi: int) -> None:
         spf[start::j] = array("I", [j]) * len(range(start, hi, j))
 
 
-def _reduced_forms(disc: int) -> Iterator[tuple[int, int, int]]:
-    """Reduced forms (a, b, c) of discriminant disc with a > 0, by a.
+def _root_class_count(disc: int, x: int) -> int:
+    """The sum of N(a) over 1 <= a <= x, N(a) = #{b mod 2a : b^2 = disc (mod 4a)}.
+
+    N is multiplicative.  For an odd prime l and a fundamental disc,
+    N(l^k) = 1 + (disc/l) when l does not divide disc, and N(l) = 1,
+    N(l^k) = 0 for k >= 2 when it does.  So on odd n, with l the smallest
+    prime factor of n and n = l m, N(n) = N(m) N(l) when l does not divide
+    m; when it does, N(n) = N(m) if l does not divide disc and 0 if it
+    does.  For a = 2^e n, N(a) = N(n) times the number of roots
+    b mod 2^(e+1) of b^2 = disc (mod 2^(e+2)), and n <= x >> e
+    (docs/algorithms.md, section 3.1).
+    """
+    if x < 1:
+        return 0
+    spf = array("I", [0, 1])
+    _extend_spf(spf, x + 1)
+    n_odd = array("I", [0]) * (x + 1)
+    n_odd[1] = 1
+    for n in range(3, x + 1, 2):
+        l = spf[n]
+        m = n // l
+        if m == 1:
+            n_odd[n] = 1 if disc % n == 0 else 2 if pow(disc, n // 2, n) == 1 else 0
+        elif m % l:
+            n_odd[n] = n_odd[m] * n_odd[l]
+        else:
+            n_odd[n] = n_odd[m] if disc % l else 0
+    total = 0
+    for e in range(x.bit_length()):
+        q = 2 ** (e + 1)
+        two_adic = len({r % q for r in sqrt_mod_prime_power(disc, 2, e + 2)})
+        if not two_adic:
+            # a root mod 2^(e+3) reduces to one mod 2^(e+2): none beyond
+            break
+        total += two_adic * sum(n_odd[1 : (x >> e) + 1 : 2])
+    return total
+
+
+def _reduced_forms(disc: int, a_lo: int = 1) -> Iterator[tuple[int, int, int]]:
+    """Reduced forms (a, b, c) of discriminant disc with a >= a_lo > 0, by a.
 
     disc < 0: the reduced definite forms, |b| <= a <= c with b >= 0 when
     |b| = a or a = c, so a <= sqrt(|disc|/3).  disc > 0, not a square: the
@@ -92,8 +134,8 @@ def _reduced_forms(disc: int) -> Iterator[tuple[int, int, int]]:
             roots_by_modulus[q] = tuple(sorted({r % q for r in rs}))
         return q, roots_by_modulus[q]
 
-    for a in range(1, a_max + 1):
-        if a == len(spf):
+    for a in range(a_lo, a_max + 1):
+        if a >= len(spf):
             # doubling: the table's memory follows the progress of a
             _extend_spf(spf, min(2 * a, a_max + 1))
         e = (a & -a).bit_length() - 1
@@ -130,15 +172,19 @@ def h_imaginary(disc: int) -> ClassNumberResult:
     """Class number of an imaginary quadratic field by counting reduced forms.
 
     A form (a, b, c) with b^2 - 4ac = disc is reduced when |b| <= a <= c,
-    taking b >= 0 whenever |b| = a or a = c.  The forms are enumerated by
-    their leading coefficient a <= sqrt(|disc|/3), O(sqrt|disc| * 2^omega(a))
-    work.
+    taking b >= 0 whenever |b| = a or a = c.  The forms with leading
+    coefficient a <= sqrt(|disc|)/2 are counted as root classes by a table
+    pass, O(sqrt|disc|); those with sqrt(|disc|)/2 < a <= sqrt(|disc|/3)
+    are enumerated, O(sqrt|disc| * 2^omega(a)) over that top 13 % of a.
     """
     if disc >= 0:
         raise ValueError("disc must be negative")
     if not is_fundamental_discriminant(disc):
         raise ValueError("disc must be a fundamental discriminant")
-    h = sum(1 for _ in _reduced_forms(disc))
+    # 4a^2 < |disc|: c = (b^2 - disc)/(4a) > a for every b, so each root
+    # class gives one reduced form
+    x = isqrt(-disc - 1) // 2
+    h = _root_class_count(disc, x) + sum(1 for _ in _reduced_forms(disc, x + 1))
     return ClassNumberResult(disc=disc, h=h, h_plus=None, method="reduced-form count")
 
 
@@ -192,22 +238,34 @@ def h_plus_real(disc: int) -> ClassNumberResult:
     """Narrow and wide class numbers of a real quadratic field.
 
     h+ is the number of rho-cycles of reduced indefinite forms; h equals h+
-    when the fundamental unit has norm -1 and h+/2 otherwise.
+    when the fundamental unit has norm -1 and h+/2 otherwise.  The forms
+    are counted first; the cycles are walked from the forms of smallest a
+    until they hold that many, and every cycle holds a form with
+    |a| < sqrt(disc)/2 (docs/algorithms.md, section 3.3).
     """
     if disc <= 0:
         raise ValueError("disc must be positive")
     if not is_fundamental_discriminant(disc):
         raise ValueError("disc must be a fundamental discriminant")
     s = isqrt(disc)
-    remaining = reduced_indefinite_forms(disc)
+    # 4a <= 2s + 1: the window s - 2a < b <= s holds one b of each root class
+    head = (2 * s + 1) // 4
+    total = 2 * (_root_class_count(disc, head) + sum(1 for _ in _reduced_forms(disc, head + 1)))
+    seen: set[tuple[int, int, int]] = set()
     cycles = 0
-    while remaining:
-        start = remaining.pop()
-        f = rho_step(start, disc, s)
-        while f != start:
-            remaining.remove(f)
-            f = rho_step(f, disc, s)
-        cycles += 1
+    for a, b, c in _reduced_forms(disc):
+        for start in ((a, b, c), (-a, b, -c)):
+            if start in seen:
+                continue
+            f = start
+            while f not in seen:
+                seen.add(f)
+                f = rho_step(f, disc, s)
+            cycles += 1
+        if len(seen) >= total:
+            break
+    if len(seen) != total:
+        raise ArithmeticError("the rho-cycles do not cover the counted reduced forms")
     m = disc if disc % 4 == 1 else disc // 4
     if unit_norm_sign(m) == -1:
         h = cycles

@@ -254,3 +254,44 @@ def brute_reduced_indefinite_forms(disc: int) -> set[tuple[int, int, int]]:
                 forms.add((a, b, -c))
                 forms.add((-a, b, c))
     return forms
+
+
+def brute_rho_cycles(disc: int) -> list[set[tuple[int, int, int]]]:
+    """The rho-cycles of the reduced indefinite forms of a nonsquare disc > 0.
+
+    The forms come from brute_reduced_indefinite_forms.  The right
+    neighbour of (a, b, c) is found by search among them: the reduced form
+    (c, b', c') with b + b' = 0 (mod 2c).  Its b' lies in the open window
+    (sqrt(disc) - 2|c|, sqrt(disc)) of length 2|c|, so there is at most
+    one; that there is exactly one is checked, not assumed.
+    """
+    forms = brute_reduced_indefinite_forms(disc)
+    by_lead: dict[int, list[tuple[int, int, int]]] = {}
+    for f in forms:
+        by_lead.setdefault(f[0], []).append(f)
+
+    def right(f: tuple[int, int, int]) -> tuple[int, int, int]:
+        _, b, c = f
+        nxt = [g for g in by_lead.get(c, ()) if (b + g[1]) % (2 * c) == 0]
+        if len(nxt) != 1:
+            raise AssertionError(f"{f} has {len(nxt)} reduced right neighbours")
+        return nxt[0]
+
+    cycles = []
+    left = set(forms)
+    while left:
+        start = left.pop()
+        cycle = {start}
+        f = right(start)
+        while f != start:
+            left.remove(f)
+            cycle.add(f)
+            f = right(f)
+        cycles.append(cycle)
+    return cycles
+
+
+def brute_rho_cycle_count(disc: int) -> int:
+    """The narrow class number h+ of a fundamental disc > 0, as the number
+    of rho-cycles of brute_rho_cycles."""
+    return len(brute_rho_cycles(disc))
