@@ -3,10 +3,11 @@
 Imaginary fields: count reduced positive definite binary quadratic forms.
 Below sqrt|D|/2 the forms with leading coefficient a are the N(a) root
 classes of b^2 = D (mod 4a), summed from a multiplicative N; above, they
-are enumerated.  Real fields: count rho-cycles of reduced indefinite forms,
-which gives the narrow class number h+; the forms are counted the same way
-first, and the cycles are walked from the smallest a until they cover that
-count.  The wide h follows from the norm of the fundamental unit.  Two
+are enumerated.  Real fields: walk the rho-cycles of reduced indefinite
+forms up to sign, from the smallest a, until they have visited every form
+with a <= sqrt(D)/2, counted the same way beforehand.  The wide h is the
+number of these cycles; the parity of the principal one is that of the
+unit's continued-fraction period, which gives the narrow h+.  Two
 further routines exist purely so the tests can cross-examine the
 primary ones: a character-sum formula for imaginary discriminants and a
 floating-point Dirichlet formula for real ones.  Neither oracle ever feeds
@@ -22,7 +23,7 @@ from math import isqrt
 from typing import Iterator
 
 from .arith import factor, kronecker, sqrt_mod_prime_power
-from .quadratic import fundamental_unit, make_field, unit_norm_sign
+from .quadratic import fundamental_unit, make_field
 
 __all__ = [
     "ClassNumberResult",
@@ -53,6 +54,15 @@ def is_fundamental_discriminant(d: int) -> bool:
         q = d // 4
         return q % 4 in (2, 3) and factor(q).is_squarefree()
     return False
+
+
+def _require_fundamental(disc: int) -> None:
+    # factor decides squarefreeness through is_prime, which is proven
+    # deterministic below 2^64 and refuses larger input
+    if abs(disc) >= 1 << 64:
+        raise ValueError("|disc| must be below 2^64")
+    if not is_fundamental_discriminant(disc):
+        raise ValueError("disc must be a fundamental discriminant")
 
 
 def _extend_spf(spf: array, hi: int) -> None:
@@ -179,8 +189,7 @@ def h_imaginary(disc: int) -> ClassNumberResult:
     """
     if disc >= 0:
         raise ValueError("disc must be negative")
-    if not is_fundamental_discriminant(disc):
-        raise ValueError("disc must be a fundamental discriminant")
+    _require_fundamental(disc)
     # 4a^2 < |disc|: c = (b^2 - disc)/(4a) > a for every b, so each root
     # class gives one reduced form
     x = isqrt(-disc - 1) // 2
@@ -237,43 +246,47 @@ def rho_step(form: tuple[int, int, int], disc: int, s: int | None = None) -> tup
 def h_plus_real(disc: int) -> ClassNumberResult:
     """Narrow and wide class numbers of a real quadratic field.
 
-    h+ is the number of rho-cycles of reduced indefinite forms; h equals h+
-    when the fundamental unit has norm -1 and h+/2 otherwise.  The forms
-    are counted first; the cycles are walked from the forms of smallest a
-    until they hold that many, and every cycle holds a form with
-    |a| < sqrt(disc)/2 (docs/algorithms.md, section 3.3).
+    rho maps -f to -rho(f), so the cycles are walked sign-free, on
+    (|a|, b, |c|).  A sign-free cycle of odd length is one narrow cycle
+    that holds both f and -f; one of even length is two.  The principal
+    cycle (a = 1) is the continued-fraction period of the unit, so its
+    parity gives the unit norm, and every cycle has that parity: h is the
+    number of sign-free cycles, and h+ is h or 2h.  The walk stops once it
+    has visited every positive reduced form with a <= (2s + 1) // 4,
+    counted beforehand as root classes: every cycle holds one
+    (docs/algorithms.md, section 3.3).
     """
     if disc <= 0:
         raise ValueError("disc must be positive")
-    if not is_fundamental_discriminant(disc):
-        raise ValueError("disc must be a fundamental discriminant")
+    _require_fundamental(disc)
     s = isqrt(disc)
     # 4a <= 2s + 1: the window s - 2a < b <= s holds one b of each root class
     head = (2 * s + 1) // 4
-    total = 2 * (_root_class_count(disc, head) + sum(1 for _ in _reduced_forms(disc, head + 1)))
-    seen: set[tuple[int, int, int]] = set()
-    cycles = 0
+    want = _root_class_count(disc, head)
+    seen: set[tuple[int, int]] = set()
+    counted = cycles = 0
     for a, b, c in _reduced_forms(disc):
-        for start in ((a, b, c), (-a, b, -c)):
-            if start in seen:
-                continue
-            f = start
-            while f not in seen:
-                seen.add(f)
-                f = rho_step(f, disc, s)
-            cycles += 1
-        if len(seen) >= total:
+        if (a, b) in seen:
+            continue
+        c, length = -c, 0
+        while (a, b) not in seen:
+            seen.add((a, b))
+            counted += a <= head
+            length += 1
+            b = s - (s + b) % (2 * c)
+            a, c = c, (disc - b * b) // (4 * c)
+        if not cycles:
+            odd = length % 2
+        elif length % 2 != odd:
+            raise ArithmeticError("a rho-cycle's parity differs from the principal cycle's")
+        cycles += 1
+        if counted >= want:
             break
-    if len(seen) != total:
+    if counted != want:
         raise ArithmeticError("the rho-cycles do not cover the counted reduced forms")
-    m = disc if disc % 4 == 1 else disc // 4
-    if unit_norm_sign(m) == -1:
-        h = cycles
-    else:
-        if cycles % 2:
-            raise ArithmeticError("h+ must be even when the unit norm is +1")
-        h = cycles // 2
-    return ClassNumberResult(disc=disc, h=h, h_plus=cycles, method="rho-cycle count")
+    return ClassNumberResult(
+        disc=disc, h=cycles, h_plus=cycles if odd else 2 * cycles, method="rho-cycle count"
+    )
 
 
 def _log_plus(x: int, y: int, m: int, den: int) -> float:

@@ -18,6 +18,7 @@ from pratcert.classno import (
     reduced_indefinite_forms,
     rho_step,
 )
+from pratcert.quadratic import unit_norm_sign
 from _oracles import (
     brute_h_imaginary,
     brute_reduced_indefinite_forms,
@@ -344,3 +345,34 @@ def test_rho_walk_stops_within_the_counted_head(monkeypatch):
             reached.clear()
             h_plus_real(disc)
             assert max(reached) <= _counted_bound(disc), disc
+
+
+def test_h_plus_real_enumerates_only_from_a_equal_one(monkeypatch):
+    # the upper half of a is never enumerated: the only call starts the
+    # walk at a = 1, and the stop total is counted as root classes
+    enumerate_forms = classno._reduced_forms
+    starts: list[int] = []
+
+    def recording(disc, a_lo=1):
+        starts.append(a_lo)
+        return enumerate_forms(disc, a_lo)
+
+    monkeypatch.setattr(classno, "_reduced_forms", recording)
+    for disc in (5, 12, 904, 34689, *_near_ten_million(1, 1)):
+        starts.clear()
+        h_plus_real(disc)
+        assert starts == [1], disc
+
+
+def test_principal_cycle_parity_is_the_unit_norm():
+    # h+ = h exactly when the fundamental unit has norm -1, the norm read
+    # from the continued-fraction period by a walk h_plus_real never calls
+    discs = [disc for disc in range(5, 5000) if is_fundamental_discriminant(disc)]
+    discs += _near_ten_million(1, 2)
+    norms = set()
+    for disc in discs:
+        norm = unit_norm_sign(disc if disc % 4 == 1 else disc // 4)
+        norms.add(norm)
+        r = h_plus_real(disc)
+        assert (r.h_plus == r.h) == (norm == -1), disc
+    assert norms == {-1, 1}

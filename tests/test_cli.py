@@ -76,6 +76,14 @@ def test_check_beyond_64_bits_exits_usage(capsys) -> None:
     assert err == "error: q must be below 2^64\n"
 
 
+def test_quad_classno_beyond_64_bits_exits_usage(capsys) -> None:
+    for disc in (2**64 + 13, -(2**64) - 3):
+        code, out, err = run(capsys, ["quad", "classno", "--disc", str(disc)])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: |disc| must be below 2^64\n"
+
+
 def test_check_csv_has_key_value_rows(capsys) -> None:
     code, out, _ = run(capsys, ["check", "--p", "7", "--q", "13", "--d", "2", "--format", "csv"])
     assert code == EXIT_OK
