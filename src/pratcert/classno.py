@@ -33,7 +33,6 @@ __all__ = [
     "h_real_analytic_oracle",
     "is_fundamental_discriminant",
     "reduced_indefinite_forms",
-    "rho_step",
 ]
 
 
@@ -231,16 +230,6 @@ def reduced_indefinite_forms(disc: int) -> set[tuple[int, int, int]]:
         forms.add((a, b, c))
         forms.add((-a, b, -c))
     return forms
-
-
-def rho_step(form: tuple[int, int, int], disc: int, s: int | None = None) -> tuple[int, int, int]:
-    """One reduction step: (a, b, c) -> (c, r, (r^2 - disc)/(4c)) with
-    r = -b (mod 2|c|) chosen in (sqrt(disc) - 2|c|, sqrt(disc))."""
-    if s is None:
-        s = isqrt(disc)
-    _, b, c = form
-    r = s - (s + b) % (2 * abs(c))
-    return (c, r, (r * r - disc) // (4 * c))
 
 
 def h_plus_real(disc: int) -> ClassNumberResult:

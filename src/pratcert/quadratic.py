@@ -1,18 +1,21 @@
 """Quadratic fields Q(sqrt(m)): exact elements, fundamental units,
 and valuations at odd ramified primes.
 
-Units come from one walk of the continued fraction of
-omega = (P0 + sqrt(D))/2, D the field discriminant, with period detection on
-the exact (P, Q) state.  Facts the implementation leans on (proofs in
+Units come from half a period of the continued fraction of
+omega = (P0 + sqrt(D))/2, D the field discriminant, walked on the exact
+(P, Q) state.  Facts the implementation leans on (proofs in
 docs/algorithms.md):
 
   * omega generates the maximal order and is reduced, so its expansion is
-    purely periodic and Q returns to 2 exactly at the end of a period;
-  * with k, k_prev the last two convergent denominators of that period,
+    purely periodic, and the quotients a_1 .. a_(L-1) of a period L form a
+    palindrome whose centre the state detects: P repeats at a middle
+    quotient (L even), Q repeats where there is none (L odd);
+  * with k, k_prev the last two convergent denominators of the period,
     eps = k omega + k_prev is the fundamental unit of the maximal order,
-    half-integral or not, and N(eps) = (-1)^period;
-  * reducing the convergents modulo n, with 2 inverted (so n odd) when
-    D = m, gives the unit's coordinates modulo n without building them;
+    half-integral or not, and N(eps) = (-1)^L; the continuant matrix of
+    the first half gives both, since the second half is its transpose;
+  * reducing that matrix modulo n, with 2 inverted (so n odd) when D = m,
+    gives the unit's coordinates modulo n without building them;
   * for an odd prime l dividing the discriminant, the valuation of e at the
     unique prime above l equals the l-adic valuation of N(e);
   * N(u^2 - 1) = 2 + 2 N(u) - T(u)^2 when |N(u)| = 1, so deciding whether
@@ -69,7 +72,12 @@ def make_field(m0: int) -> QuadField:
     if m0 > 0 and isqrt(m0) ** 2 == m0:
         raise ValueError("radicand must not be a perfect square")
     m = factor(m0).squarefree_core()
-    return QuadField(m=m, disc=_discriminant(m), is_real=m > 0)
+    # a verified factorization's core is squarefree: skip __post_init__'s
+    # re-check; setattr, not __dict__, keeps the instance's compact storage
+    field = object.__new__(QuadField)
+    for name, value in (("m", m), ("disc", _discriminant(m)), ("is_real", m > 0)):
+        object.__setattr__(field, name, value)
+    return field
 
 
 @dataclass(frozen=True)
@@ -188,31 +196,45 @@ class FundUnit:
 
 
 def _omega_walk(disc: int, modulus: int | None = None) -> tuple[int, int, int]:
-    """Fundamental unit of the order of discriminant ``disc`` from one period
-    of the continued fraction of omega = (P0 + sqrt(disc))/2.
+    """Fundamental unit of the order of discriminant ``disc`` from half a
+    period of the continued fraction of omega = (P0 + sqrt(disc))/2.
 
     P0 is the largest integer below sqrt(disc) with P0 = disc (mod 2), so
-    omega is reduced and its complete quotients (P + sqrt(disc))/Q return to
-    omega exactly when Q returns to 2.  The (P, Q) state stays exact; the
-    convergent denominators k are reduced modulo ``modulus`` when it is set.
-    Returns (t, k, norm) with 2*eps = t + k*sqrt(disc), eps = k*omega + k_prev
-    and norm = (-1)**period.
+    omega is reduced, a_0 = P0, and the quotients a_1 .. a_(L-1) of one
+    period read the same both ways.  The walk tracks the continuant matrix
+    M(u) of u = a_1 .. a_i on the exact (P, Q) state and stops at the
+    centre: P repeating marks a middle quotient c (L = 2i, full period
+    M(u) [[c, 1], [1, 0]] M(u)^T), Q repeating marks none (L = 2i + 1,
+    full period M(u) M(u)^T).  Entries of M are reduced modulo ``modulus``
+    when it is set.  Returns (t, k, norm) with 2*eps = t + k*sqrt(disc),
+    eps = k*omega + k_prev, (k, k_prev) the top row of the full period,
+    and norm = (-1)**L.
     """
     s = isqrt(disc)
     p0 = s - (s - disc) % 2
-    P, Q = p0, 2
-    k_prev, k = 1, 0
-    period = 0
+    # a_0 = P0, so state 1 is (P0, (disc - P0^2)/2); Q = 2 again is period 1
+    P, Q = p0, (disc - p0 * p0) // 2
+    if Q == 2:
+        return p0, 1, -1
+    # M(u) = [[A, B], [C, E]], u empty at i = 1
+    A, B, C, E = 1, 0, 0, 1
     while True:
         a = (P + s) // Q
-        k_prev, k = k, a * k + k_prev
+        P_next = a * Q - P
+        if P_next == P:
+            k, k_prev, norm = A * (a * A + 2 * B), (a * A + B) * C + A * E, 1
+            break
+        A, B, C, E = a * A + B, A, a * C + E, C
         if modulus is not None:
-            k %= modulus
-        P = a * Q - P
-        Q = (disc - P * P) // Q
-        period += 1
-        if Q == 2:
-            return k * p0 + 2 * k_prev, k, -1 if period % 2 else 1
+            A, B, C, E = A % modulus, B % modulus, C % modulus, E % modulus
+        Q_next = (disc - P_next * P_next) // Q
+        if Q_next == Q:
+            k, k_prev, norm = A * A + B * B, A * C + B * E, -1
+            break
+        P, Q = P_next, Q_next
+    if modulus is not None:
+        k, k_prev = k % modulus, k_prev % modulus
+    return k * p0 + 2 * k_prev, k, norm
 
 
 def unit_norm_sign(m: int) -> int:

@@ -99,6 +99,49 @@ def pell_min_solution(m: int, y_cap: int) -> tuple[int, int, int] | None:
                             best = cand
 
 
+def cf_unit_oracle(m: int) -> tuple[int, int, int, int, int]:
+    """Fundamental unit of Q(sqrt(m)), squarefree m > 1, by the textbook
+    continued fraction: (x, y, den, norm, period) with the unit
+    (x + y sqrt m)/den > 1 in lowest terms.
+
+    alpha = sqrt(m), or (1 + sqrt(m))/2 when m = 1 (mod 4), generates the
+    maximal order.  Its expansion [a0; a1, ..., ar, a1, ...] is periodic
+    from the first complete quotient on; the walk runs over one whole
+    period, detected by the state (P, Q) of (P + sqrt m)/Q returning to
+    that of the first complete quotient.  With p/q the convergents, the
+    unit is p_(r-1) - q_(r-1) conj(alpha).  The norm is read off
+    x^2 - m y^2, not from the period's parity.
+    """
+    s = isqrt(m)
+    P, Q = (1, 2) if m % 4 == 1 else (0, 1)
+    p_prev, p, q_prev, q = 0, 1, 1, 0
+    first = None
+    period = 0
+    while True:
+        a = (P + s) // Q
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        P = a * Q - P
+        Q = (m - P * P) // Q
+        if first is None:
+            first = (P, Q)
+        else:
+            period += 1
+            if (P, Q) == first:
+                break
+    # p_prev/q_prev is p_(r-1)/q_(r-1); conj(alpha) = -sqrt(m) or (1 - sqrt(m))/2
+    if m % 4 == 1:
+        x, y, den = 2 * p_prev - q_prev, q_prev, 2
+        if x % 2 == 0:
+            x, y, den = x // 2, y // 2, 1
+    else:
+        x, y, den = p_prev, q_prev, 1
+    norm, rem = divmod(x * x - m * y * y, den * den)
+    if rem or norm not in (-1, 1):
+        raise AssertionError(f"no unit from the period of sqrt({m})")
+    return x, y, den, norm, period
+
+
 def lucas_v(k: int, t: int, n: int) -> int:
     """V_k(t, n): V_0 = 2, V_1 = t, V_j = t V_{j-1} - n V_{j-2}."""
     if k == 0:

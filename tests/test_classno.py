@@ -16,7 +16,6 @@ from pratcert.classno import (
     h_real_analytic_oracle,
     is_fundamental_discriminant,
     reduced_indefinite_forms,
-    rho_step,
 )
 from pratcert.quadratic import unit_norm_sign
 from _oracles import (
@@ -111,23 +110,34 @@ def test_narrow_wide_dichotomy():
         assert result.h_plus in (result.h, 2 * result.h)
 
 
+def _rho(form: tuple[int, int, int], disc: int) -> tuple[int, int, int]:
+    # (a, b, c) -> (c, r, (r^2 - disc)/(4c)), r = -b (mod 2|c|) in (s - 2|c|, s]
+    s = isqrt(disc)
+    _, b, c = form
+    r = s - (s + b) % (2 * abs(c))
+    return (c, r, (r * r - disc) // (4 * c))
+
+
 def test_rho_cycles_partition_reduced_forms():
     # every reduced form sits in exactly one rho-cycle and rho permutes them
     for disc in (12, 40, 364, 229):
         forms = reduced_indefinite_forms(disc)
         seen: set[tuple[int, int, int]] = set()
+        cycles = []
         for start in forms:
             if start in seen:
                 continue
             cycle = {start}
-            f = rho_step(start, disc)
+            f = _rho(start, disc)
             while f != start:
                 assert f in forms
                 assert f not in seen
                 cycle.add(f)
-                f = rho_step(f, disc)
+                f = _rho(f, disc)
             seen |= cycle
+            cycles.append(cycle)
         assert seen == forms
+        assert sorted(map(sorted, cycles)) == sorted(map(sorted, brute_rho_cycles(disc)))
 
 
 def test_analytic_oracle_rounds_to_h_sample():

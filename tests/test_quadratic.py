@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
+from math import isqrt
 
 import pytest
 
+from pratcert import quadratic
 from pratcert.quadratic import (
     GE3,
     FundUnit,
@@ -19,7 +22,7 @@ from pratcert.quadratic import (
     unit_norm_sign,
     unit_sq_minus_one_valuation,
 )
-from _oracles import pell_min_solution
+from _oracles import cf_unit_oracle, pell_min_solution
 
 
 def test_make_field_examples():
@@ -49,6 +52,27 @@ def test_field_validates_its_own_data():
         QuadField(m=12, disc=48, is_real=True)
     with pytest.raises(ValueError):
         QuadField(m=3, disc=3, is_real=True)
+
+
+def test_make_field_factors_its_radicand_once(monkeypatch):
+    calls = []
+    real_factor = quadratic.factor
+
+    def counting_factor(n):
+        calls.append(n)
+        return real_factor(n)
+
+    monkeypatch.setattr(quadratic, "factor", counting_factor)
+    for m0 in (91, 12, -12, 65, -2, 50, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19, 1009 * 1013):
+        calls.clear()
+        make_field(m0)
+        assert calls == [m0]
+    # direct construction keeps its own squarefree check
+    calls.clear()
+    QuadField(m=91, disc=364, is_real=True)
+    assert calls == [91]
+    with pytest.raises(ValueError):
+        QuadField(m=12, disc=48, is_real=True)
 
 
 def test_elem_canonical_denominator():
@@ -185,6 +209,47 @@ def test_fundamental_unit_matches_brute_search_small_radicands():
         fu = fundamental_unit(field)
         expected = pell_min_solution(m, fu.elem.y)
         assert expected == (fu.elem.x, fu.elem.y, fu.elem.den)
+
+
+def _squarefree_below(n: int) -> list[int]:
+    flags = bytearray([1]) * n
+    for d in range(2, isqrt(n - 1) + 1):
+        flags[d * d :: d * d] = bytes(len(range(d * d, n, d * d)))
+    return [m for m in range(2, n) if flags[m]]
+
+
+def _pq_radicands(count: int, seed: int) -> list[int]:
+    # distinct pq, p < q odd primes, in [10^6, 10^7)
+    def prime(n: int) -> bool:
+        return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+    rng = random.Random(seed)
+    small = [p for p in range(3, 1000) if prime(p)]
+    out: set[int] = set()
+    while len(out) < count:
+        p = rng.choice(small)
+        q = rng.randrange(-(-(10**6) // p), -(-(10**7) // p))
+        if q > p and prime(q):
+            out.add(p * q)
+    return sorted(out)
+
+
+def test_units_match_the_textbook_continued_fraction():
+    # exact unit, reduced unit and norm against a full-period expansion of
+    # sqrt(m) or (1 + sqrt(m))/2 that shares no code with the half-period walk
+    shapes: Counter = Counter()
+    for m in _squarefree_below(20000) + _pq_radicands(200, seed=8):
+        x, y, den, norm, period = cf_unit_oracle(m)
+        field = make_field(m)
+        fu = fundamental_unit(field)
+        assert (fu.elem.x, fu.elem.y, fu.elem.den, fu.unit_norm) == (x, y, den, norm), m
+        assert unit_norm_sign(m) == norm, m
+        for n in (5**5 * 13**3,) if m % 4 == 1 else (5**5 * 13**3, 10**6):
+            inv = pow(den, -1, n)
+            assert fundamental_unit_mod(field, n) == (x * inv % n, y * inv % n, norm), (m, n)
+        shapes["period 1" if period == 1 else "odd" if period % 2 else "even"] += 1
+    # period 1; a middle quotient (even period); none (odd period > 1)
+    assert min(shapes["period 1"], shapes["even"], shapes["odd"]) >= 100, shapes
 
 
 def test_unit_validates_itself():
