@@ -1,14 +1,18 @@
 """Exact integer primitives shared by every other module.
 
-Primality is a deterministic Miller-Rabin test whose witness set is proven
-complete below 2**64; factorization runs trial division up to 10**6 and
-hands surviving cofactors to Brent's variant of Pollard rho.  Nothing here
+Primality is a deterministic Miller-Rabin test below 2**64 that runs only
+the first k prime witnesses, k the least with n below psi_k, the least
+strong pseudoprime to the first k primes (Jaeschke, Math. Comp. 61, 1993;
+Jiang-Deng, Math. Comp. 83, 2014): three witnesses below 25,326,001.
+Factorization runs trial division up to 10**6, stops at a prime cofactor,
+and hands a composite one to Brent's variant of Pollard rho.  Nothing here
 uses floating point.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from math import gcd, isqrt
@@ -26,8 +30,12 @@ __all__ = [
     "unlimited_int_digits",
 ]
 
-# Proven deterministic for all n < 3_317_044_064_679_887_385_961_981 > 2**64.
+# Deterministic below psi_12 = 318_665_857_834_031_151_167_461 > 2**64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# psi_k for k = 1 .. 11: below psi_k the first k witnesses decide
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383)
+_PSI += (341550071728321,) * 2 + (3825123056546413051,) * 3
 
 _TRIAL_LIMIT = 10**6
 
@@ -50,7 +58,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[: bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -148,6 +156,14 @@ def _split(n: int, out: dict[int, int]) -> None:
     _split(n // d, out)
 
 
+def _trial_divisors() -> Iterator[int]:
+    # 2, 3 and every 6j +- 1 up to _TRIAL_LIMIT, a superset of its primes
+    yield from (2, 3)
+    for f in range(5, _TRIAL_LIMIT + 1, 6):
+        yield f
+        yield f + 2
+
+
 def factor(n: int) -> Factorization:
     """Complete factorization of |n|; the sign is reported separately."""
     if n == 0:
@@ -155,20 +171,18 @@ def factor(n: int) -> Factorization:
     sign = -1 if n < 0 else 1
     m = abs(n)
     out: dict[int, int] = {}
-    for p in (2, 3):
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-    f, step = 5, 2
-    while f * f <= m and f <= _TRIAL_LIMIT:
+    for f in _trial_divisors():
+        if f * f > m:
+            break
         if m % f == 0:
             e = 0
             while m % f == 0:
                 m //= f
                 e += 1
             out[f] = e
-        f += step
-        step = 6 - step
+            if m < 1 << 64 and is_prime(m):  # is_prime refuses 2**64 and up
+                out[m] = 1
+                m = 1
     if m > 1:
         if f * f > m:
             # no divisor up to sqrt(m): the cofactor is prime

@@ -3,8 +3,8 @@ and valuations at odd ramified primes.
 
 Units come from half a period of the continued fraction of
 omega = (P0 + sqrt(D))/2, D the field discriminant, walked on the exact
-(P, Q) state.  Facts the implementation leans on (proofs in
-docs/algorithms.md):
+(P, Q) state of small integers, and its quotients folded into continuants.
+Facts the implementation leans on (proofs in docs/algorithms.md):
 
   * omega generates the maximal order and is reduced, so its expansion is
     purely periodic, and the quotients a_1 .. a_(L-1) of a period L form a
@@ -14,8 +14,10 @@ docs/algorithms.md):
     eps = k omega + k_prev is the fundamental unit of the maximal order,
     half-integral or not, and N(eps) = (-1)^L; the continuant matrix of
     the first half gives both, since the second half is its transpose;
-  * reducing that matrix modulo n, with 2 inverted (so n odd) when D = m,
-    gives the unit's coordinates modulo n without building them;
+  * exactly, only the top row of that matrix is folded: it gives k, and
+    2 eps = t + k sqrt(D) with t = isqrt(D k^2 + 4 N(eps)); reduced modulo
+    n, both rows, with 2 inverted (so n odd) when D = m, give the unit's
+    coordinates modulo n without building them;
   * for an odd prime l dividing the discriminant, the valuation of e at the
     unique prime above l equals the l-adic valuation of N(e);
   * N(u^2 - 1) = 2 + 2 N(u) - T(u)^2 when |N(u)| = 1, so deciding whether
@@ -195,52 +197,65 @@ class FundUnit:
             raise ValueError("the fundamental unit is taken > 1")
 
 
-def _omega_walk(disc: int, modulus: int | None = None) -> tuple[int, int, int]:
-    """Fundamental unit of the order of discriminant ``disc`` from half a
-    period of the continued fraction of omega = (P0 + sqrt(disc))/2.
-
-    P0 is the largest integer below sqrt(disc) with P0 = disc (mod 2), so
-    omega is reduced, a_0 = P0, and the quotients a_1 .. a_(L-1) of one
-    period read the same both ways.  The walk tracks the continuant matrix
-    M(u) of u = a_1 .. a_i on the exact (P, Q) state and stops at the
-    centre: P repeating marks a middle quotient c (L = 2i, full period
-    M(u) [[c, 1], [1, 0]] M(u)^T), Q repeating marks none (L = 2i + 1,
-    full period M(u) M(u)^T).  Entries of M are reduced modulo ``modulus``
-    when it is set.  Returns (t, k, norm) with 2*eps = t + k*sqrt(disc),
-    eps = k*omega + k_prev, (k, k_prev) the top row of the full period,
-    and norm = (-1)**L.
+def _half_period(disc: int) -> tuple[int, list[int], int | None]:
+    """(P0, u, c): the first half u of the period of the continued fraction
+    of omega = (P0 + sqrt(disc))/2, P0 the largest integer below sqrt(disc)
+    with P0 = disc (mod 2), and its middle quotient c.  The walk runs on the
+    exact (P, Q) state and stops at the centre of the palindrome
+    a_1 .. a_(L-1): P repeating marks c (L = 2i, u = a_1 .. a_(i-1)), Q
+    repeating marks none (c None, L = 2i + 1, u = a_1 .. a_i, empty at L = 1).
     """
     s = isqrt(disc)
     p0 = s - (s - disc) % 2
     # a_0 = P0, so state 1 is (P0, (disc - P0^2)/2); Q = 2 again is period 1
     P, Q = p0, (disc - p0 * p0) // 2
+    quotients: list[int] = []
     if Q == 2:
-        return p0, 1, -1
-    # M(u) = [[A, B], [C, E]], u empty at i = 1
-    A, B, C, E = 1, 0, 0, 1
+        return p0, quotients, None
     while True:
         a = (P + s) // Q
         P_next = a * Q - P
         if P_next == P:
-            k, k_prev, norm = A * (a * A + 2 * B), (a * A + B) * C + A * E, 1
-            break
-        A, B, C, E = a * A + B, A, a * C + E, C
-        if modulus is not None:
-            A, B, C, E = A % modulus, B % modulus, C % modulus, E % modulus
+            return p0, quotients, a
+        quotients.append(a)
         Q_next = (disc - P_next * P_next) // Q
         if Q_next == Q:
-            k, k_prev, norm = A * A + B * B, A * C + B * E, -1
-            break
+            return p0, quotients, None
         P, Q = P_next, Q_next
-    if modulus is not None:
-        k, k_prev = k % modulus, k_prev % modulus
+
+
+def _omega_walk(disc: int, modulus: int | None = None) -> tuple[int, int, int]:
+    """(t, k, norm): 2*eps = t + k*sqrt(disc) for the fundamental unit
+    eps = k*omega + k_prev of discriminant ``disc``, norm = (-1)**L, with
+    (k, k_prev) the top row of M(u) [[c, 1], [1, 0]] M(u)^T, or of M(u) M(u)^T
+    without c, and k, k_prev reduced modulo ``modulus`` when set.  Exactly,
+    only the top row of M(u) is folded and t = isqrt(disc*k^2 + 4*norm);
+    modulo ``modulus`` both rows are, and t = k*P0 + 2*k_prev.
+    """
+    p0, quotients, c = _half_period(disc)
+    norm = -1 if c is None else 1
+    if modulus is None:
+        A, B = 1, 0
+        for a in quotients:
+            A, B = a * A + B, A
+        k = A * A + B * B if c is None else A * (c * A + 2 * B)
+        return isqrt(disc * k * k + 4 * norm), k, norm
+    # M(u) = [[A, B], [C, E]]
+    A, B, C, E = 1, 0, 0, 1
+    for a in quotients:
+        A, B, C, E = (a * A + B) % modulus, A, (a * C + E) % modulus, C
+    if c is None:
+        k, k_prev = A * A + B * B, A * C + B * E
+    else:
+        k, k_prev = A * (c * A + 2 * B), (c * A + B) * C + A * E
+    k, k_prev = k % modulus, k_prev % modulus
     return k * p0 + 2 * k_prev, k, norm
 
 
 def unit_norm_sign(m: int) -> int:
     """Norm of the fundamental unit of Q(sqrt(m)) from the CF period alone."""
-    # modulus 1 keeps every convergent at 0: only the period is computed
-    return _omega_walk(_discriminant(m), 1)[2]
+    # a middle quotient means an even period, and N(eps) = (-1)^L
+    return -1 if _half_period(_discriminant(m))[2] is None else 1
 
 
 def fundamental_unit(field: QuadField) -> FundUnit:

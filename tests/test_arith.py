@@ -50,6 +50,73 @@ def test_is_prime_agrees_with_trial_division():
         assert is_prime(n) == by_trial
 
 
+# (psi_k, k): the least strong pseudoprime to the first k primes (Jaeschke
+# 1993; Jiang-Deng 2014), with k the number of leading bases it fools;
+# psi_7 = psi_8 and psi_9 = psi_10 = psi_11
+LEAST_STRONG_PSEUDOPRIMES = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 8),
+    (3825123056546413051, 11),
+)
+
+TWELVE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _strong_probable_prime(n: int, base: int) -> bool:
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    x = pow(base, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _twelve_base_miller_rabin(n: int) -> bool:
+    if n < 2:
+        return False
+    if any(n % b == 0 for b in TWELVE_BASES):
+        return n in TWELVE_BASES
+    return all(_strong_probable_prime(n, b) for b in TWELVE_BASES)
+
+
+def test_is_prime_false_on_every_least_strong_pseudoprime():
+    # each psi_k fools the first k bases, so a witness prefix that is one
+    # base short, or that runs up to psi_k inclusive, calls it prime
+    for psi, k in LEAST_STRONG_PSEUDOPRIMES:
+        assert all(_strong_probable_prime(psi, b) for b in TWELVE_BASES[:k]), psi
+        assert not _strong_probable_prime(psi, TWELVE_BASES[k]), psi
+        assert not is_prime(psi), psi
+
+
+def test_is_prime_matches_a_sieve_below_a_million():
+    limit = 10**6
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(range(p * p, limit, p)))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+def test_is_prime_matches_twelve_bases_in_every_table_range():
+    bounds = (3,) + tuple(psi for psi, _ in LEAST_STRONG_PSEUDOPRIMES) + (1 << 64,)
+    rng = random.Random(1993)
+    for lo, hi in zip(bounds, bounds[1:]):
+        for n in [lo, hi - 1] + [rng.randrange(lo, hi) | 1 for _ in range(2000)]:
+            assert is_prime(n) == _twelve_base_miller_rabin(n), n
+
+
 def test_factor_examples():
     f = factor(168)
     assert f.factors == ((2, 3), (3, 1), (7, 1))
@@ -80,6 +147,47 @@ def test_factor_large_semiprime():
     p, q = 1_000_003, 1_000_033
     f = factor(p * q)
     assert f.factors == ((p, 1), (q, 1))
+
+
+def _primes_in(lo: int, hi: int) -> list[int]:
+    return [n for n in range(lo, hi) if n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))]
+
+
+def test_factor_matches_trial_division_on_prime_powers_and_products():
+    rng = random.Random(2014)
+    small, large = _primes_in(2, 2000), _primes_in(10**5, 10**5 + 3000)
+    cases = []
+    for _ in range(60):
+        p, q = rng.choice(small), rng.choice(large)
+        cases += [p * q, p * q * q, q, rng.choice(small) * p * q]
+        cases.append(p ** rng.randrange(2, 8))
+    cases += [2 * 3 * 5 * 7 * 11 * 13, 2**33, 3**20, 999_983 * 2, 999_983 * 999_979]
+    for n in cases:
+        assert dict(factor(n).factors) == brute_factor(n), n
+
+
+def test_factor_stops_only_at_a_cofactor_below_two_to_the_64():
+    # the cofactor left after 5, or after 2 and 3, is 2**64 or more, where
+    # is_prime refuses to answer, so trial division must go on
+    assert factor(5 * 7**30).factors == ((5, 1), (7, 30))
+    assert factor(2**70 * 3 * 11**25).factors == ((2, 70), (3, 1), (11, 25))
+    # a prime cofactor far beyond trial division
+    assert factor(5 * ((1 << 61) - 1)).factors == ((5, 1), ((1 << 61) - 1, 1))
+
+
+def test_factor_square_of_a_large_prime_goes_through_rho(monkeypatch):
+    import pratcert.arith as arith
+
+    calls = []
+    rho = arith._brent_rho
+
+    def counted(n: int) -> int:
+        calls.append(n)
+        return rho(n)
+
+    monkeypatch.setattr(arith, "_brent_rho", counted)
+    assert factor(1_000_003**2).factors == ((1_000_003, 2),)
+    assert calls == [1_000_003**2]
 
 
 def test_factorization_validates_itself():
