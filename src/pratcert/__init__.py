@@ -17,7 +17,7 @@ from .criteria import (
     PRationalityReport,
     alpha_S,
     certify_freeness,
-    direct_summand_check,
+    judge,
     prat_biquad,
     prat_imag,
     prat_real,
@@ -45,13 +45,13 @@ __all__ = [
     "alpha_S",
     "certify_freeness",
     "classify_splitting",
-    "direct_summand_check",
     "factor",
     "fundamental_unit",
     "h_imaginary",
     "h_plus_real",
     "is_prime",
     "is_pth_power_local",
+    "judge",
     "kronecker",
     "make_field",
     "mult_order",

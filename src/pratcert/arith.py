@@ -165,7 +165,11 @@ def _trial_divisors() -> Iterator[int]:
 
 
 def factor(n: int) -> Factorization:
-    """Complete factorization of |n|; the sign is reported separately."""
+    """Complete factorization of |n|; the sign is reported separately.
+
+    Raises ValueError when the cofactor left after trial division to 10**6
+    is not below 2^64, where primality is decided deterministically.
+    """
     if n == 0:
         raise ValueError("0 has no factorization")
     sign = -1 if n < 0 else 1
@@ -187,6 +191,11 @@ def factor(n: int) -> Factorization:
         if f * f > m:
             # no divisor up to sqrt(m): the cofactor is prime
             out[m] = out.get(m, 0) + 1
+        elif m >= 1 << 64:
+            raise ValueError(
+                "factor needs the cofactor left after trial division to 10**6 "
+                "below 2^64, where primality is deterministic"
+            )
         else:
             _split(m, out)
     return Factorization(n=abs(n), sign=sign, factors=tuple(sorted(out.items())))

@@ -15,7 +15,7 @@ spell this out (docs/algorithms.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Any
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ._version import __version__
 from .arith import factor, is_prime, kronecker, mult_order
@@ -30,6 +30,7 @@ from .localfield import (
 )
 from .quadratic import (
     QuadElem,
+    QuadField,
     fundamental_unit,
     fundamental_unit_mod,
     make_field,
@@ -45,11 +46,10 @@ __all__ = [
     "FamilyValidationError",
     "FreenessReport",
     "PRationalityReport",
-    "SummandCheck",
     "alpha_S",
     "certify_freeness",
-    "direct_summand_check",
     "family_violations",
+    "judge",
     "prat_biquad",
     "prat_imag",
     "prat_real",
@@ -75,19 +75,11 @@ class FamilyValidationError(ValueError):
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Validated parameters of the quartic family Q(sqrt(pq), sqrt(-d)).
-
-    The congruence conditions force the residue degrees above p and q to be
-    2 and keep the p-th roots of unity out of the field, so those facts are
-    carried as constants.
-    """
+    """Validated parameters of the quartic family Q(sqrt(pq), sqrt(-d))."""
 
     p: int
     q: int
     d: int
-    residue_degree_p: int = 2
-    residue_degree_q: int = 2
-    mu_p_in_field: bool = False
 
 
 # is_prime is proven deterministic below this bound and refuses larger input
@@ -260,21 +252,6 @@ def prat_biquad(m1: int, m2: int, p: int) -> PRationalityReport:
     )
 
 
-@dataclass(frozen=True)
-class SummandCheck:
-    """Evidence that the global units split off the local units at p.
-
-    v_p_val and v_q_val are the valuations of eps**2 - 1 at the ramified
-    places above p and q (an exact integer, or the symbol ">=3" on the
-    reduced path); primitive is the certifying threshold v_p_val <= 2.
-    """
-
-    e_s_generated: bool
-    v_p_val: int | str
-    v_q_val: int | str
-    primitive: bool
-
-
 def _unit_square_residue_order(x: int, den: int, q: int) -> int:
     # order of eps**2 mod the ramified prime above q; sqrt(pq) vanishes
     # there, so only the rational coordinate survives
@@ -283,32 +260,6 @@ def _unit_square_residue_order(x: int, den: int, q: int) -> int:
     if r2 == 0:
         raise ArithmeticError("a unit cannot vanish at an unramified coordinate")
     return mult_order(r2, q)
-
-
-def _summand_from_exact_unit(params: FamilyParams, elem: QuadElem) -> SummandCheck:
-    w = elem * elem - 1
-    v_p = ramified_valuation(w, params.p)
-    v_q = ramified_valuation(w, params.q)
-    order = _unit_square_residue_order(elem.x, elem.den, params.q)
-    return SummandCheck(
-        e_s_generated=order % params.p != 0,
-        v_p_val=v_p,
-        v_q_val=v_q,
-        primitive=isinstance(v_p, int) and v_p <= 2,
-    )
-
-
-def direct_summand_check(params: FamilyParams) -> SummandCheck:
-    """Direct-summand evidence from the exact fundamental unit of Q(sqrt(pq)).
-
-    e_s_generated asks that the order of eps**2 in the residue field at the
-    place above q be prime to p (automatic on the family since the order
-    divides q - 1); primitive = (v_p_val <= 2) certifies that the unit
-    image is a direct summand of the principal local units at p.
-    """
-    field = make_field(params.p * params.q)
-    fu = fundamental_unit(field)
-    return _summand_from_exact_unit(params, fu.elem)
 
 
 def alpha_S(params: FamilyParams) -> int:
@@ -377,14 +328,138 @@ class FreenessReport:
         )
 
 
+def _prime_to_p(v: Any, p: int) -> bool:
+    return type(v) is int and v % p != 0
+
+
+def _is(expected: Any) -> Callable[[Any, int], bool]:
+    return lambda v, p: type(v) is type(expected) and v == expected
+
+
+# The hypotheses of docs/algorithms.md section 6, one tuple of rules per
+# stage of the certificate: the fact a rule reads, the test it must pass,
+# and the reason given when it fails, with the fact as {v}, -d as {d}, -dpq
+# as {dpq} and pq as {pq}.  A certificate lists its reasons in this order.
+# A fact that is absent fails as _MISSING; parameters outside the family
+# fail every rule at once, as _OUTSIDE_FAMILY.
+_OUTSIDE_FAMILY = "parameters are outside the certified family"
+_MISSING = "{key} is missing"
+_RULES: tuple[tuple[tuple[str, Callable[[Any, int], bool], str], ...], ...] = (
+    (
+        ("s", _is(1), "s = {v}, need a single stable place above q in the tower"),
+        ("mu_p_in_K", _is(False), "the field contains the p-th roots of unity"),
+    ),
+    (
+        ("h_imag_d", _prime_to_p, "p divides the class number {v} of Q(sqrt({d}))"),
+        ("h_imag_dpq", _prime_to_p, "p divides the class number {v} of Q(sqrt({dpq}))"),
+    ),
+    (("h_real_pq", _prime_to_p, "p divides the class number {v} of Q(sqrt({pq}))"),),
+    (
+        ("unit_pth_power_at_p", _is(False),
+         "the fundamental unit is a p-th power in the completion at p"),
+        ("v_p_val", lambda v, p: type(v) is int and v <= 2,
+         "v(eps**2 - 1) = {v} at the place above p, need at most 2"),
+        ("e_s_generated", _is(True),
+         "p divides the residue order of eps**2 at the place above q"),
+        ("alpha_S", _is(1), "the tame place weight alpha_S is not 1"),
+    ),
+)
+
+# the rank of the module that a certificate proves, by verdict
+RANK = {CERTIFIED_FREE: 2, NOT_CERTIFIED: None}
+
+
+def judge(
+    p: int, q: int, d: int, facts: Mapping[str, Any], *, stages: Iterable[object] = ()
+) -> tuple[str, tuple[str, ...]]:
+    """The verdict on (p, q, d) that facts support, and its reasons.
+
+    The rules run stage by stage.  After the first stage with a failing
+    rule, judging stops where the facts stop, as a lazy certificate does;
+    before it, a missing fact fails.  A scan record's facts carry
+    ``invalid`` when (p, q, d) is outside the family.  The verdict is
+    CERTIFIED_FREE, of rank RANK[verdict] = 2, iff no rule fails.
+
+    ``stages``, if given, adds the facts of one more stage each time it is
+    advanced; judge advances it before each stage while no rule has failed,
+    which is how certify_freeness stops lazily.
+    """
+    if "invalid" in facts:
+        return NOT_CERTIFIED, (_OUTSIDE_FAMILY,)
+    pending = iter(stages)
+    reasons: list[str] = []
+    for rules in _RULES:
+        if not reasons:
+            next(pending, None)
+        elif rules[0][0] not in facts:
+            break
+        for key, test, reason in rules:
+            if key not in facts:
+                reasons.append(_MISSING.format(key=key))
+            elif not test(facts[key], p):
+                reasons.append(reason.format(v=facts[key], d=-d, dpq=-d * p * q, pq=p * q))
+    return (NOT_CERTIFIED if reasons else CERTIFIED_FREE), tuple(reasons)
+
+
+def _unit_facts(p: int, q: int, field: QuadField, elem: QuadElem | None) -> dict[str, Any]:
+    """Stage-4 facts of the unit elem of field = Q(sqrt(pq)).
+
+    With elem None, of the fundamental unit reduced modulo p**5 * q**3.
+    """
+    if elem is None:
+        x, y, norm = fundamental_unit_mod(field, p**5 * q**3)
+        den = 1
+        facts: dict[str, Any] = {"mode": "fast", "unit_norm": norm}
+        v_p = unit_sq_minus_one_valuation(2 * x, norm, p)
+        v_q = unit_sq_minus_one_valuation(2 * x, norm, q)
+    elif elem.field != field:
+        raise ValueError("the unit lives in the wrong field")
+    else:
+        x, y, den = elem.x, elem.y, elem.den
+        facts = {"mode": "exact", "unit_norm": elem.norm(), "unit": str(elem)}
+        w = elem * elem - 1
+        v_p, v_q = ramified_valuation(w, p), ramified_valuation(w, q)
+    ctx = classify_splitting(field, p)
+    facts["unit_pth_power_at_p"] = _pth_power_flags(x, y, den, ctx)[0]
+    facts["v_p_val"] = v_p
+    facts["v_q_val"] = v_q
+    facts["e_s_generated"] = _unit_square_residue_order(x, den, q) % p != 0
+    return facts
+
+
+def _gather(p: int, q: int, d: int, exact: bool, facts: dict[str, Any]) -> Iterator[None]:
+    """Add the facts of each stage of _RULES to facts, yielding after each."""
+
+    # stage 1: congruence-level facts (cheap, no class numbers, no units).
+    # q has residue degree 2 in K (section 5 of the docs), and K never
+    # contains mu_p for p >= 5 (section 4.4)
+    facts["s"] = tower_places(q, 2, p)
+    facts["alpha_S"] = alpha_S(FamilyParams(p=p, q=q, d=d))
+    facts["mu_p_in_K"] = False
+    facts["mu_p_in_local_at_q"] = mu_p_in_local(q * q, p)
+    yield
+
+    # stage 2: imaginary subfield class numbers; the large discriminant
+    # -4*d*p*q dominates the runtime of the whole certificate
+    facts["h_imag_d"] = h_imaginary(make_field(-d).disc).h
+    facts["h_imag_dpq"] = h_imaginary(make_field(-d * p * q).disc).h
+    yield
+
+    # stage 3: real subfield class number (narrow count, wide value)
+    real_field = make_field(p * q)
+    cn = h_plus_real(real_field.disc)
+    facts["h_plus_real_pq"] = cn.h_plus
+    facts["h_real_pq"] = cn.h
+    yield
+
+    # stage 4: fundamental unit of the real subfield
+    elem = fundamental_unit(real_field).elem if exact else None
+    facts.update(_unit_facts(p, q, real_field, elem))
+    yield
+
+
 def certify_freeness(
-    p: int,
-    q: int,
-    d: int,
-    *,
-    exact: bool = True,
-    lazy: bool = False,
-    _unit_elem: QuadElem | None = None,
+    p: int, q: int, d: int, *, exact: bool = True, lazy: bool = False
 ) -> FreenessReport:
     """Freeness certificate for the quartic field Q(sqrt(pq), sqrt(-d)).
 
@@ -394,7 +469,8 @@ def certify_freeness(
     at the place above p; bound the valuation of eps**2 - 1 at p; check the
     residue order at q.  Certification needs all of: s = 1, the three
     class-number conditions, unit not a local p-th power, v_p_val <= 2,
-    e_s_generated, and no p-th roots of unity in the field.
+    e_s_generated, and no p-th roots of unity in the field.  judge decides
+    the verdict from the facts gathered.
 
     exact=False reduces the unit coordinates modulo p**5 * q**3 during the
     continued-fraction walk (orders of magnitude faster for scans), with the
@@ -404,9 +480,6 @@ def certify_freeness(
 
     Parameter violations produce a NOT_CERTIFIED report with the violations
     in ``invalid``; no exception escapes for bad (p, q, d).
-
-    _unit_elem substitutes a caller-supplied unit for the computed one on
-    the exact path (renormalization-invariance tests only).
     """
     mode_requested = "exact" if exact else "fast"
     violations = family_violations(p, q, d)
@@ -419,118 +492,20 @@ def certify_freeness(
             rank=None,
             mode=mode_requested,
             facts={},
-            reasons=("parameters are outside the certified family",),
+            reasons=(_OUTSIDE_FAMILY,),
             invalid=tuple(violations),
         )
-    params = FamilyParams(p=p, q=q, d=d)
     facts: dict[str, Any] = {}
-    reasons: list[str] = []
-
-    # stage 1: congruence-level facts (cheap, no class numbers, no units)
-    s = tower_places(q, params.residue_degree_q, p)
-    facts["s"] = s
-    if s != 1:
-        reasons.append(f"s = {s}, need a single stable place above q in the tower")
-    facts["alpha_S"] = alpha_S(params)
-    facts["mu_p_in_K"] = params.mu_p_in_field
-    facts["mu_p_in_local_at_q"] = mu_p_in_local(q * q, p)
-    if params.mu_p_in_field:
-        reasons.append("the field contains the p-th roots of unity")
-    if lazy and reasons:
-        return _finish(params, mode_requested, facts, reasons)
-
-    # stage 2: imaginary subfield class numbers; the large discriminant
-    # -4*d*p*q dominates the runtime of the whole certificate
-    h_small = h_imaginary(make_field(-d).disc).h
-    facts["h_imag_d"] = h_small
-    if h_small % p == 0:
-        reasons.append(f"p divides the class number {h_small} of Q(sqrt({-d}))")
-    h_large = h_imaginary(make_field(-d * p * q).disc).h
-    facts["h_imag_dpq"] = h_large
-    if h_large % p == 0:
-        reasons.append(f"p divides the class number {h_large} of Q(sqrt({-d * p * q}))")
-    if lazy and reasons:
-        return _finish(params, mode_requested, facts, reasons)
-
-    # stage 3: real subfield class number (narrow count, wide value)
-    real_field = make_field(p * q)
-    cn = h_plus_real(real_field.disc)
-    facts["h_plus_real_pq"] = cn.h_plus
-    facts["h_real_pq"] = cn.h
-    if cn.h % p == 0:
-        reasons.append(f"p divides the class number {cn.h} of Q(sqrt({p * q}))")
-    if lazy and reasons:
-        return _finish(params, mode_requested, facts, reasons)
-
-    # stage 4: fundamental unit of the real subfield
-    exact_elem: QuadElem | None = None
-    if _unit_elem is not None:
-        if _unit_elem.field != real_field:
-            raise ValueError("substitute unit lives in the wrong field")
-        exact_elem = _unit_elem
-    elif exact:
-        exact_elem = fundamental_unit(real_field).elem
-    if exact_elem is not None:
-        ux, uy, uden = exact_elem.x, exact_elem.y, exact_elem.den
-        unit_norm = exact_elem.norm()
-        mode = "exact"
-    else:
-        ux, uy, unit_norm = fundamental_unit_mod(real_field, p**5 * q**3)
-        uden = 1
-        mode = "fast"
-    facts["mode"] = mode
-    facts["unit_norm"] = unit_norm
-    if exact_elem is not None and _unit_elem is None:
-        facts["unit"] = str(exact_elem)
-
-    ctx = classify_splitting(real_field, p)
-    pth_power = _pth_power_flags(ux, uy, uden, ctx)[0]
-    facts["unit_pth_power_at_p"] = pth_power
-    if pth_power:
-        reasons.append("the fundamental unit is a p-th power in the completion at p")
-
-    if exact_elem is not None:
-        w = exact_elem * exact_elem - 1
-        v_p_val: int | str = ramified_valuation(w, p)
-        v_q_val: int | str = ramified_valuation(w, q)
-    else:
-        trace = 2 * ux
-        v_p_val = unit_sq_minus_one_valuation(trace, unit_norm, p)
-        v_q_val = unit_sq_minus_one_valuation(trace, unit_norm, q)
-    facts["v_p_val"] = v_p_val
-    facts["v_q_val"] = v_q_val
-    primitive = isinstance(v_p_val, int) and v_p_val <= 2
-    if not primitive:
-        reasons.append(
-            f"v(eps**2 - 1) = {v_p_val} at the place above p, need at most 2"
-        )
-    order = _unit_square_residue_order(ux, uden, q)
-    e_s = order % p != 0
-    facts["e_s_generated"] = e_s
-    if not e_s:
-        reasons.append("p divides the residue order of eps**2 at the place above q")
-
-    if facts["alpha_S"] != 1:
-        reasons.append("the tame place weight alpha_S is not 1")
-    return _finish(params, mode_requested, facts, reasons)
-
-
-def _finish(
-    params: FamilyParams,
-    mode_requested: str,
-    facts: dict[str, Any],
-    reasons: list[str],
-) -> FreenessReport:
+    stages = _gather(p, q, d, exact, facts)
+    verdict, reasons = judge(p, q, d, facts, stages=stages if lazy else list(stages))
     facts.setdefault("mode", mode_requested)
-    certified = not reasons
     return FreenessReport(
-        p=params.p,
-        q=params.q,
-        d=params.d,
-        verdict=CERTIFIED_FREE if certified else NOT_CERTIFIED,
-        rank=2 if certified else None,
+        p=p,
+        q=q,
+        d=d,
+        verdict=verdict,
+        rank=RANK[verdict],
         mode=facts["mode"],
         facts=facts,
-        reasons=tuple(reasons),
-        invalid=(),
+        reasons=reasons,
     )

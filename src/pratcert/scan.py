@@ -2,8 +2,10 @@
 
 Candidate evaluations are pure, so they parallelize freely; the output is
 assembled in ascending q regardless of worker count, and a record cache
-(append-only JSON lines) makes interrupted scans resumable without ever
-trusting a stale or foreign line.
+(append-only JSON lines) makes interrupted scans resumable.  Cache lines are
+re-judged, not trusted: stale or foreign lines are ignored, and a line whose
+verdict, rank or reasons disagree with criteria.judge of its facts is
+recomputed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,14 @@ from typing import Any, Iterable, Iterator
 
 from ._version import __version__
 from .arith import is_prime, kronecker
-from .criteria import CERTIFIED_FREE, NOT_CERTIFIED, SCHEMA_VERSION, certify_freeness
+from .criteria import (
+    CERTIFIED_FREE,
+    NOT_CERTIFIED,
+    RANK,
+    SCHEMA_VERSION,
+    certify_freeness,
+    judge,
+)
 
 __all__ = [
     "ScanRecord",
@@ -110,9 +119,14 @@ def _worker(args: tuple[int, int, int]) -> ScanRecord:
 
 
 def _load_cache(path: str, p: int, d: int) -> dict[int, ScanRecord]:
-    """Cached records for this (p, d) keyed by q; bad lines warn and skip."""
+    """Cached records for this (p, d) keyed by q.
+
+    Unreadable lines, and misjudged ones (whose verdict, rank or reasons
+    disagree with judge of their facts), warn and are skipped, so their q
+    is computed afresh.
+    """
     records: dict[int, ScanRecord] = {}
-    corrupt = 0
+    unreadable = misjudged = 0
     try:
         fh = open(path, encoding="utf-8")
     except FileNotFoundError:
@@ -121,26 +135,25 @@ def _load_cache(path: str, p: int, d: int) -> dict[int, ScanRecord]:
         raise ValueError(f"cannot read cache file {path}: {exc}") from exc
     with fh:
         for line in fh:
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 rec = ScanRecord.from_json_obj(json.loads(line))
             except ValueError:
-                corrupt += 1
+                unreadable += 1
                 continue
-            if (
-                rec.schema_version == SCHEMA_VERSION
-                and rec.tool_version == __version__
-                and rec.p == p
-                and rec.d == d
-            ):
-                records[rec.q] = rec
-    if corrupt:
-        print(
-            f"warning: skipped {corrupt} unreadable cache line(s) in {path}",
-            file=sys.stderr,
-        )
+            ours = (SCHEMA_VERSION, __version__, p, d)
+            if (rec.schema_version, rec.tool_version, rec.p, rec.d) != ours:
+                continue
+            verdict, reasons = judge(p, rec.q, d, rec.facts)
+            judged = (verdict, RANK[verdict], list(reasons))
+            if (rec.verdict, rec.rank, rec.facts.get("reasons")) != judged:
+                misjudged += 1
+                continue
+            records[rec.q] = rec
+    for count, kind in ((unreadable, "unreadable"), (misjudged, "misjudged")):
+        if count:
+            print(f"warning: skipped {count} {kind} cache line(s) in {path}", file=sys.stderr)
     return records
 
 
@@ -166,11 +179,11 @@ def scan_records(
     """Records for every candidate prime q <= q_max with q = -1 (mod p).
 
     Results arrive in ascending q independently of worker count.  With a
-    cache path, records matching (schema_version, tool_version, p, d) are
-    reused and fresh ones appended, so a rerun after an interruption picks
-    up where it stopped.  Candidates outside the family (for instance a d
-    that fails the residue conditions) produce NOT_CERTIFIED records whose
-    facts list the violations.
+    cache path, records matching (schema_version, tool_version, p, d) whose
+    verdict judge confirms are reused and fresh ones appended, so a rerun
+    after an interruption picks up where it stopped.  Candidates outside
+    the family (for instance a d that fails the residue conditions) produce
+    NOT_CERTIFIED records whose facts list the violations.
     """
     if p < 5 or not is_prime(p):
         raise ValueError("p must be a prime >= 5")

@@ -175,6 +175,15 @@ def test_factor_stops_only_at_a_cofactor_below_two_to_the_64():
     assert factor(5 * ((1 << 61) - 1)).factors == ((5, 1), ((1 << 61) - 1, 1))
 
 
+def test_factor_names_the_two_to_the_64_limit_on_its_cofactor():
+    # 2**64 + 13 has no divisor up to 10**6, and neither has the product of
+    # two primes above 10**6 beyond 2**64: primality there is undecided
+    limit = r"cofactor left after trial division to 10\*\*6 below 2\^64"
+    for n in (2**64 + 13, -(2**64 + 13), 1_000_003 * ((1 << 61) - 1)):
+        with pytest.raises(ValueError, match=limit):
+            factor(n)
+
+
 def test_factor_square_of_a_large_prime_goes_through_rho(monkeypatch):
     import pratcert.arith as arith
 

@@ -84,6 +84,16 @@ def test_quad_classno_beyond_64_bits_exits_usage(capsys) -> None:
         assert err == "error: |disc| must be below 2^64\n"
 
 
+def test_quad_unit_beyond_the_factor_limit_exits_usage(capsys) -> None:
+    code, out, err = run(capsys, ["quad", "unit", "--m", str(2**64 + 13)])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == (
+        "error: factor needs the cofactor left after trial division to 10**6 "
+        "below 2^64, where primality is deterministic\n"
+    )
+
+
 def test_check_csv_has_key_value_rows(capsys) -> None:
     code, out, _ = run(capsys, ["check", "--p", "7", "--q", "13", "--d", "2", "--format", "csv"])
     assert code == EXIT_OK

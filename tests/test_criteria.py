@@ -14,15 +14,18 @@ from pratcert.criteria import (
     FamilyValidationError,
     FreenessReport,
     alpha_S,
+    RANK,
+    _unit_facts,
     certify_freeness,
-    direct_summand_check,
     family_violations,
+    judge,
     prat_biquad,
     prat_imag,
     prat_real,
     validate_family,
 )
 from pratcert.quadratic import GE3, QuadElem, fundamental_unit, make_field
+from pratcert.scan import record_for, scan_records
 
 GOLDEN = (7, 13, 2)
 
@@ -50,9 +53,6 @@ def test_family_violations_by_name():
 def test_validate_family_round_trip():
     params = validate_family(*GOLDEN)
     assert (params.p, params.q, params.d) == GOLDEN
-    assert params.residue_degree_p == 2
-    assert params.residue_degree_q == 2
-    assert params.mu_p_in_field is False
 
 
 def test_validate_family_raises_with_all_reasons():
@@ -134,11 +134,10 @@ def test_alpha_s_values():
 
 
 def test_direct_summand_check_golden():
-    result = direct_summand_check(validate_family(*GOLDEN))
-    assert result.e_s_generated is True
-    assert result.v_p_val == 1
-    assert result.v_q_val == 1
-    assert result.primitive is True
+    facts = certify_freeness(*GOLDEN).facts
+    assert facts["v_p_val"] == 1
+    assert facts["v_q_val"] == 1
+    assert facts["e_s_generated"] is True
 
 
 def test_summand_norm_decomposition_feeding_the_valuations():
@@ -231,17 +230,18 @@ def test_certify_exact_unit_beyond_the_digit_limit():
 
 def test_certify_verdict_invariant_under_unit_renormalization():
     base = certify_freeness(*GOLDEN)
-    eps = fundamental_unit(make_field(7 * 13)).elem
+    field = make_field(7 * 13)
+    eps = fundamental_unit(field).elem
     for variant in (eps, -eps, eps.inverse(), -(eps.inverse())):
-        report = certify_freeness(*GOLDEN, _unit_elem=variant)
-        assert report.verdict == base.verdict
+        facts = {**base.facts, **_unit_facts(7, 13, field, variant)}
+        assert judge(*GOLDEN, facts) == (base.verdict, base.reasons)
         for key in ("v_p_val", "v_q_val", "unit_pth_power_at_p", "e_s_generated"):
-            assert report.facts[key] == base.facts[key], key
+            assert facts[key] == base.facts[key], key
 
 
 def test_certify_rejects_substitute_unit_in_wrong_field():
     with pytest.raises(ValueError):
-        certify_freeness(*GOLDEN, _unit_elem=QuadElem(make_field(11), 10, 3))
+        _unit_facts(7, 13, make_field(91), QuadElem(make_field(11), 10, 3))
 
 
 def _cap_valuation_text(reason: str) -> str:
@@ -311,3 +311,92 @@ def test_certified_report_facts_support_the_verdict():
     assert facts["e_s_generated"] is True
     assert facts["alpha_S"] == 1
     assert facts["mu_p_in_K"] is False
+
+
+def test_judge_reproduces_the_reference_table_records():
+    # the 650 lazy fast records of p in {5, 7, 13, 29, 431}, d = 2, q <= 10^4
+    records = [rec for p in (5, 7, 13, 29, 431) for rec in scan_records(p, 2, 10**4)]
+    assert len(records) == 650
+    certified = 0
+    for rec in records:
+        verdict, reasons = judge(rec.p, rec.q, rec.d, rec.facts)
+        assert (verdict, RANK[verdict]) == (rec.verdict, rec.rank), rec.q
+        assert list(reasons) == rec.facts["reasons"], rec.q
+        certified += verdict == CERTIFIED_FREE
+    # both verdicts occur: 185 certified records, 465 others
+    assert certified == 185
+
+
+def test_judge_reproduces_exact_certificates_of_each_stage():
+    # the golden field, then one exact, non-lazy reject per stage
+    cases = {
+        GOLDEN: None,
+        (5, 599, 2): "s = 5, need a single stable place above q in the tower",
+        (5, 29, 47): "p divides the class number 5 of Q(sqrt(-47))",
+        (5, 29, 2): "p divides the class number 20 of Q(sqrt(-290))",
+        (5, 1279, 2): "p divides the class number 10 of Q(sqrt(6395))",
+        (5, 509, 2): "the fundamental unit is a p-th power in the completion at p",
+    }
+    for args, first in cases.items():
+        report = certify_freeness(*args)
+        assert report.reasons[:1] == ((first,) if first else ()), args
+        verdict, reasons = judge(*args, report.facts)
+        assert (verdict, RANK[verdict], reasons) == (
+            report.verdict,
+            report.rank,
+            report.reasons,
+        ), args
+
+
+def test_judge_lists_every_failed_hypothesis_in_table_order():
+    facts = dict(certify_freeness(*GOLDEN).facts)
+    facts.update(
+        s=7,
+        mu_p_in_K=True,
+        h_imag_d=7,
+        h_imag_dpq=14,
+        h_real_pq=21,
+        unit_pth_power_at_p=True,
+        v_p_val=GE3,
+        e_s_generated=False,
+        alpha_S=0,
+    )
+    assert judge(*GOLDEN, facts) == (
+        NOT_CERTIFIED,
+        (
+            "s = 7, need a single stable place above q in the tower",
+            "the field contains the p-th roots of unity",
+            "p divides the class number 7 of Q(sqrt(-2))",
+            "p divides the class number 14 of Q(sqrt(-182))",
+            "p divides the class number 21 of Q(sqrt(91))",
+            "the fundamental unit is a p-th power in the completion at p",
+            "v(eps**2 - 1) = >=3 at the place above p, need at most 2",
+            "p divides the residue order of eps**2 at the place above q",
+            "the tame place weight alpha_S is not 1",
+        ),
+    )
+
+
+def test_judge_stops_where_a_lazy_certificate_stops():
+    lazy = certify_freeness(5, 149, 2, lazy=True)
+    assert list(lazy.facts) == ["s", "alpha_S", "mu_p_in_K", "mu_p_in_local_at_q", "mode"]
+    assert lazy.reasons == ("s = 5, need a single stable place above q in the tower",)
+    assert judge(5, 149, 2, lazy.facts) == (lazy.verdict, lazy.reasons)
+    # without a failed stage before it, a missing stage cannot certify
+    golden = dict(certify_freeness(*GOLDEN).facts)
+    del golden["e_s_generated"]
+    assert judge(*GOLDEN, golden) == (NOT_CERTIFIED, ("e_s_generated is missing",))
+    assert judge(*GOLDEN, {"s": 1, "mu_p_in_K": False})[0] == NOT_CERTIFIED
+    # a fact of the wrong type fails its rule instead of raising
+    assert judge(*GOLDEN, {**certify_freeness(*GOLDEN).facts, "h_imag_dpq": "12"}) == (
+        NOT_CERTIFIED,
+        ("p divides the class number 12 of Q(sqrt(-182))",),
+    )
+
+
+def test_judge_of_an_invalid_record_names_the_family():
+    facts = record_for(7, 41, 2).facts
+    assert judge(7, 41, 2, facts) == (
+        NOT_CERTIFIED,
+        ("parameters are outside the certified family",),
+    )

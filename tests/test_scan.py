@@ -14,6 +14,7 @@ from pratcert.criteria import (
     NOT_CERTIFIED,
     SCHEMA_VERSION,
     certify_freeness,
+    judge,
 )
 from pratcert.scan import (
     ScanRecord,
@@ -165,6 +166,64 @@ def test_corrupt_cache_line_warns_and_recomputes(tmp_path, capsys) -> None:
     err = capsys.readouterr().err
     assert f"warning: skipped 1 unreadable cache line(s) in {cache}" in err
     assert lines_of(resumed) == baseline
+
+
+def _tampered_lines() -> dict[str, tuple[int, dict]]:
+    by_q = {rec.q: json.loads(rec.to_json_line()) for rec in scan_records(5, 2, 200)}
+    flipped = by_q[149]
+    flipped.update(verdict=CERTIFIED_FREE, rank=2)
+    deleted = by_q[29]
+    deleted["facts"]["reasons"] = []
+    edited = by_q[79]
+    edited["facts"]["h_imag_dpq"] = 5 * edited["facts"]["h_imag_dpq"]
+    missing = by_q[109]
+    del missing["facts"]["e_s_generated"]
+    return {
+        "flipped verdict": (149, flipped),
+        "deleted reason": (29, deleted),
+        "fact edited without its reason": (79, edited),
+        "missing hypothesis fact": (109, missing),
+    }
+
+
+def test_cache_lines_that_judge_contradicts_are_recomputed(tmp_path, capsys) -> None:
+    baseline = lines_of(scan_records(5, 2, 200))
+    for case, (q, obj) in _tampered_lines().items():
+        line = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        assert line not in baseline, case
+        cache = tmp_path / f"{q}.jsonl"
+        kept = [other for other in baseline if json.loads(other)["q"] != q]
+        cache.write_text("\n".join([line] + kept) + "\n", encoding="utf-8")
+        resumed = scan_records(5, 2, 200, cache=str(cache))
+        err = capsys.readouterr().err
+        assert f"warning: skipped 1 misjudged cache line(s) in {cache}" in err, case
+        assert lines_of(resumed) == baseline, case
+        # the tampered line stays, and the recomputed record is appended
+        stored = cache.read_text(encoding="utf-8").splitlines()
+        fresh = next(other for other in baseline if json.loads(other)["q"] == q)
+        assert stored == [line] + kept + [fresh], case
+
+
+def test_cache_line_missing_a_hypothesis_never_certifies() -> None:
+    q, obj = _tampered_lines()["missing hypothesis fact"]
+    assert obj["verdict"] == CERTIFIED_FREE and obj["facts"]["reasons"] == []
+    verdict, reasons = judge(5, q, 2, obj["facts"])
+    assert (verdict, reasons) == (NOT_CERTIFIED, ("e_s_generated is missing",))
+
+
+def test_all_tampered_lines_together_leave_a_fresh_scan(tmp_path, capsys) -> None:
+    baseline = lines_of(scan_records(5, 2, 200))
+    tampered = [
+        json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        for _, obj in _tampered_lines().values()
+    ]
+    cache = tmp_path / "scan.jsonl"
+    cache.write_text("\n".join(tampered) + "\n", encoding="utf-8")
+    resumed = scan_records(5, 2, 200, cache=str(cache))
+    err = capsys.readouterr().err
+    assert f"warning: skipped 4 misjudged cache line(s) in {cache}" in err
+    assert lines_of(resumed) == baseline
+    assert not set(tampered) & set(lines_of(resumed))
 
 
 def test_stale_tool_version_line_is_recomputed(tmp_path) -> None:
