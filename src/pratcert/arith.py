@@ -96,6 +96,16 @@ class Factorization:
         if prod != self.n:
             raise ValueError("factor product does not equal n")
 
+    @classmethod
+    def _proven(cls, n: int, sign: int, factors: tuple[tuple[int, int], ...]) -> Factorization:
+        # factor's own result, whose primes it has just proven: built without
+        # __post_init__, which would run is_prime on each of them again
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "factors", factors)
+        return self
+
     def value(self) -> int:
         return self.sign * self.n
 
@@ -198,7 +208,7 @@ def factor(n: int) -> Factorization:
             )
         else:
             _split(m, out)
-    return Factorization(n=abs(n), sign=sign, factors=tuple(sorted(out.items())))
+    return Factorization._proven(abs(n), sign, tuple(sorted(out.items())))
 
 
 def kronecker(a: int, n: int) -> int:

@@ -1,24 +1,27 @@
 """Class numbers of quadratic fields by exact form counting.
 
-Imaginary fields: count reduced positive definite binary quadratic forms.
-Below sqrt|D|/2 the forms with leading coefficient a are the N(a) root
-classes of b^2 = D (mod 4a), summed from a multiplicative N; above, they
-are enumerated.  Real fields: walk the rho-cycles of reduced indefinite
-forms up to sign, from the smallest a, until they have visited every form
-with a <= sqrt(D)/2, counted the same way beforehand.  The wide h is the
-number of these cycles; the parity of the principal one is that of the
-unit's continued-fraction period, which gives the narrow h+.  Two
-further routines exist purely so the tests can cross-examine the
-primary ones: a character-sum formula for imaginary discriminants and a
-floating-point Dirichlet formula for real ones.  Neither oracle ever feeds
-a verdict.
+Both class numbers read one table per call, _RootTable: for every a up to
+the largest leading coefficient the call needs, N(a), the number of root
+classes of b^2 = D (mod 4a), sieved prime by prime from a multiplicative
+rule.  Imaginary fields: count reduced positive definite binary quadratic
+forms.  Below sqrt|D|/2 the forms with leading coefficient a are the N(a)
+root classes, summed from the table; above, the forms are built by CRT for
+only the a with N(a) > 0.  Real fields: walk the rho-cycles of reduced
+indefinite forms up to sign, started only at the root classes of the a <=
+sqrt(D)/2 with N(a) > 0, until they have visited every such form, counted
+from the same table beforehand.  The wide h is the number of these cycles;
+the parity of the principal one is that of the unit's continued-fraction
+period, which gives the narrow h+.  Two further routines exist purely so
+the tests can cross-examine the primary ones: a character-sum formula for
+imaginary discriminants and a floating-point Dirichlet formula for real
+ones.  Neither oracle ever feeds a verdict.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
+from itertools import compress
 from math import isqrt
 from typing import Iterator
 
@@ -64,57 +67,134 @@ def _require_fundamental(disc: int) -> None:
         raise ValueError("disc must be a fundamental discriminant")
 
 
-def _extend_spf(spf: array, hi: int) -> None:
-    """Extend a smallest-prime-factor table (spf[k] for 2 <= k < len(spf)) to k < hi."""
-    lo = len(spf)
-    spf.extend(range(lo, hi))
-    # downward, so that each smaller prime overwrites the larger ones; a
-    # composite j writes only on multiples that a prime below j overwrites
-    # afterwards
-    for j in range(isqrt(hi - 1), 1, -1):
-        start = max(j * j, -(-lo // j) * j)
-        spf[start::j] = array("I", [j]) * len(range(start, hi, j))
+# the exponent byte of an n whose N(n) is 0, and the map that adds one
+# split prime to every other exponent
+_DEAD = 255
+_ONE_MORE = bytes([*range(1, 255), _DEAD, _DEAD])
 
 
-def _root_class_count(disc: int, x: int) -> int:
-    """The sum of N(a) over 1 <= a <= x, N(a) = #{b mod 2a : b^2 = disc (mod 4a)}.
+class _RootTable:
+    """N(a) = #{b mod 2a : b^2 = disc (mod 4a)} for 1 <= a <= top, one table.
 
-    N is multiplicative.  For an odd prime l and a fundamental disc,
-    N(l^k) = 1 + (disc/l) when l does not divide disc, and N(l) = 1,
-    N(l^k) = 0 for k >= 2 when it does.  So on odd n, with l the smallest
-    prime factor of n and n = l m, N(n) = N(m) N(l) when l does not divide
-    m; when it does, N(n) = N(m) if l does not divide disc and 0 if it
-    does.  For a = 2^e n, N(a) = N(n) times the number of roots
-    b mod 2^(e+1) of b^2 = disc (mod 2^(e+2)), and n <= x >> e
+    N is multiplicative.  For odd n, N(n) is 0 when a prime l with
+    (disc/l) = -1 divides n, or l^2 divides n for a prime l dividing disc;
+    otherwise it is 2^k, k the number of primes with (disc/l) = 1 dividing
+    n.  The table keeps k, or _DEAD for 0, in one byte per odd n, sieved
+    prime by prime.  For a = 2^e n, N(a) = two_adic[e] * N(n), two_adic[e]
+    the number of roots b mod 2^(e+1) of b^2 = disc (mod 2^(e+2))
     (docs/algorithms.md, section 3.1).
     """
-    if x < 1:
-        return 0
-    spf = array("I", [0, 1])
-    _extend_spf(spf, x + 1)
-    n_odd = array("I", [0]) * (x + 1)
-    n_odd[1] = 1
-    for n in range(3, x + 1, 2):
-        l = spf[n]
-        m = n // l
-        if m == 1:
-            n_odd[n] = 1 if disc % n == 0 else 2 if pow(disc, n // 2, n) == 1 else 0
-        elif m % l:
-            n_odd[n] = n_odd[m] * n_odd[l]
-        else:
-            n_odd[n] = n_odd[m] if disc % l else 0
-    total = 0
-    for e in range(x.bit_length()):
-        q = 2 ** (e + 1)
-        two_adic = len({r % q for r in sqrt_mod_prime_power(disc, 2, e + 2)})
-        if not two_adic:
-            # a root mod 2^(e+3) reduces to one mod 2^(e+2): none beyond
-            break
-        total += two_adic * sum(n_odd[1 : (x >> e) + 1 : 2])
-    return total
+
+    __slots__ = ("disc", "exps", "two_adic", "small", "_roots")
+
+    def __init__(self, disc: int, top: int) -> None:
+        # odd n <= top at index n // 2
+        half = (top + 1) // 2
+        prime = bytearray([1]) * half
+        if half:
+            prime[0] = 0
+        for i in range(1, (isqrt(top) + 1) // 2):
+            if prime[i]:
+                n = 2 * i + 1
+                prime[n * n // 2 :: n] = bytes(len(range(n * n // 2, half, n)))
+        exps = bytearray(half)
+        dead = bytes([_DEAD])
+        # the odd primes up to sqrt(top) that can divide an a with N(a) > 0
+        small: list[int] = []
+        for l in compress(range(1, top + 1, 2), prime):
+            r = disc % l
+            if r and pow(r, l >> 1, l) != 1:
+                # (disc/l) = -1: no odd multiple of l has a root
+                exps[l >> 1 :: l] = dead * len(range(l >> 1, half, l))
+                continue
+            if r:
+                exps[l >> 1 :: l] = exps[l >> 1 :: l].translate(_ONE_MORE)
+            elif l * l <= top:
+                # l | disc: no odd multiple of l^2 has a root
+                exps[l * l >> 1 :: l * l] = dead * len(range(l * l >> 1, half, l * l))
+            if l * l <= top:
+                small.append(l)
+        self.disc, self.exps, self.small = disc, exps, small
+        # modulus -> the roots of disc modulo it
+        self._roots: dict[int, list[int]] = {}
+        self.two_adic: list[int] = []
+        for e in range(top.bit_length()):
+            t = len(self._roots_mod(2, e + 2))
+            if not t:
+                # a root mod 2^(e+3) reduces to one mod 2^(e+2): none beyond
+                break
+            self.two_adic.append(t)
+
+    def classes(self, a: int) -> int:
+        """N(a), for 1 <= a <= top."""
+        e = (a & -a).bit_length() - 1
+        k = self.exps[a >> (e + 1)]
+        return 0 if e >= len(self.two_adic) or k == _DEAD else self.two_adic[e] << k
+
+    def count(self, x: int) -> int:
+        """The sum of N(a) over 1 <= a <= x <= top, without a root.
+
+        a = 2^e n <= x exactly when the odd n is at most x >> e, that is
+        n // 2 < ((x >> e) + 1) // 2.
+        """
+        total = 0
+        for e, t in enumerate(self.two_adic):
+            head = self.exps[: ((x >> e) + 1) // 2]
+            k = 0
+            while found := head.count(k):
+                # an n with k + 1 split primes has a divisor with k
+                total += t * found << k
+                k += 1
+        return total
+
+    def rooted(self, lo: int, hi: int) -> Iterator[int]:
+        """The a in [lo, hi] with N(a) > 0, increasing; hi <= top."""
+        return (a for a in range(lo, hi + 1) if self.classes(a))
+
+    def residues(self, a: int) -> list[int]:
+        """The N(a) classes b mod 2a with b^2 = disc (mod 4a), for N(a) > 0.
+
+        Combined by CRT from the roots of disc modulo 2^(e+1), e = v_2(a),
+        and modulo each odd prime power l^k || a, each found once per call
+        of the table.  No prime l with (disc/l) = -1 divides a, so trial
+        division by the other primes up to sqrt(a) factors it.
+        """
+        e = (a & -a).bit_length() - 1
+        modulus = 2 ** (e + 1)
+        residues = list(self._roots_mod(2, e + 2))
+        n = a >> e
+        for l in self.small:
+            if l * l > n:
+                break
+            if n % l == 0:
+                k = 0
+                while n % l == 0:
+                    n //= l
+                    k += 1
+                residues, modulus = _crt(residues, modulus, self._roots_mod(l, k), l**k)
+        if n > 1:
+            residues, modulus = _crt(residues, modulus, self._roots_mod(n, 1), n)
+        return residues
+
+    def _roots_mod(self, l: int, k: int) -> list[int]:
+        # the roots of disc modulo l^k, l prime; for l = 2 they matter only
+        # modulo 2^(k-1), the 2-part of 2a
+        q = l**k if l > 2 else 2 ** (k - 1)
+        roots = self._roots.get(q)
+        if roots is None:
+            roots = sorted({y % q for y in sqrt_mod_prime_power(self.disc, l, k)})
+            self._roots[q] = roots
+        return roots
 
 
-def _reduced_forms(disc: int, a_lo: int = 1) -> Iterator[tuple[int, int, int]]:
+def _crt(residues: list[int], modulus: int, roots: list[int], q: int) -> tuple[list[int], int]:
+    # every class mod modulus * q that is one of residues mod modulus and
+    # one of roots mod q, for coprime modulus and q
+    inv = pow(modulus, -1, q)
+    return [r + modulus * ((t - r) * inv % q) for r in residues for t in roots], modulus * q
+
+
+def _reduced_forms(disc: int, table: _RootTable, a_lo: int = 1) -> Iterator[tuple[int, int, int]]:
     """Reduced forms (a, b, c) of discriminant disc with a >= a_lo > 0, by a.
 
     disc < 0: the reduced definite forms, |b| <= a <= c with b >= 0 when
@@ -122,57 +202,22 @@ def _reduced_forms(disc: int, a_lo: int = 1) -> Iterator[tuple[int, int, int]]:
     reduced indefinite forms with a > 0, 0 < b < sqrt(disc) and
     sqrt(disc) - b < 2a < sqrt(disc) + b, so a <= isqrt(disc).
 
-    For each a, the b with b^2 = disc (mod 4a) form whole classes mod 2a.
-    Their residues are combined by CRT from the square roots of disc modulo
-    each prime power of 4a, found once per prime power and kept for the
-    call; a is factored by a smallest-prime-factor table of 4 bytes per a,
-    grown as a advances.
+    For each a, the b with b^2 = disc (mod 4a) form the N(a) root classes
+    mod 2a of the table, which must reach that bound on a; only the a with
+    N(a) > 0 are visited.
     """
     s = isqrt(abs(disc))
-    a_max = isqrt(-disc // 3) if disc < 0 else s
-    spf = array("I", [0, 1])
-    # modulus -> roots; the empty tuple, shared, where there is none
-    roots_by_modulus: dict[int, tuple[int, ...]] = {}
-
-    def roots(p: int, k: int) -> tuple[int, tuple[int, ...]]:
-        # b mod p^k with b^2 = disc (mod p^k); for p = 2, k is the exponent
-        # of 2 in 4a, and b matters only mod 2^(k-1)
-        q = p**k if p > 2 else 2 ** (k - 1)
-        if q not in roots_by_modulus:
-            rs = sqrt_mod_prime_power(disc, p, k)
-            roots_by_modulus[q] = tuple(sorted({r % q for r in rs}))
-        return q, roots_by_modulus[q]
-
-    for a in range(a_lo, a_max + 1):
-        if a >= len(spf):
-            # doubling: the table's memory follows the progress of a
-            _extend_spf(spf, min(2 * a, a_max + 1))
-        e = (a & -a).bit_length() - 1
-        parts = [roots(2, e + 2)]
-        n = a >> e
-        while n > 1 and parts[-1][1]:
-            p, k = spf[n], 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            parts.append(roots(p, k))
-        if not parts[-1][1]:
-            continue
-        residues, modulus = [0], 1
-        for q, rs in parts:
-            inv = pow(modulus, -1, q)
-            residues = [r + modulus * ((t - r) * inv % q) for r in residues for t in rs]
-            modulus *= q
+    for a in table.rooted(a_lo, isqrt(-disc // 3) if disc < 0 else s):
         two_a, four_a = 2 * a, 4 * a
         if disc < 0:
-            for r in residues:
+            for r in table.residues(a):
                 b = r if r <= a else r - two_a
                 c = (b * b - disc) // four_a
                 if c > a or (c == a and b >= 0):
                     yield (a, b, c)
         else:
             lo = max(s - two_a + 1, two_a - s)
-            for r in residues:
+            for r in table.residues(a):
                 for b in range(lo + (r - lo) % two_a, s + 1, two_a):
                     yield (a, b, (b * b - disc) // four_a)
 
@@ -181,18 +226,20 @@ def h_imaginary(disc: int) -> ClassNumberResult:
     """Class number of an imaginary quadratic field by counting reduced forms.
 
     A form (a, b, c) with b^2 - 4ac = disc is reduced when |b| <= a <= c,
-    taking b >= 0 whenever |b| = a or a = c.  The forms with leading
-    coefficient a <= sqrt(|disc|)/2 are counted as root classes by a table
-    pass, O(sqrt|disc|); those with sqrt(|disc|)/2 < a <= sqrt(|disc|/3)
-    are enumerated, O(sqrt|disc| * 2^omega(a)) over that top 13 % of a.
+    taking b >= 0 whenever |b| = a or a = c.  One root table is built up
+    to a = sqrt(|disc|/3), the largest leading coefficient: O(sqrt|disc|)
+    sieve steps and one Euler criterion per prime.  The forms with
+    a <= sqrt(|disc|)/2 are counted from it as root classes; those in the
+    top 13 % of a are built by CRT, for only the a with N(a) > 0.
     """
     if disc >= 0:
         raise ValueError("disc must be negative")
     _require_fundamental(disc)
+    table = _RootTable(disc, isqrt(-disc // 3))
     # 4a^2 < |disc|: c = (b^2 - disc)/(4a) > a for every b, so each root
     # class gives one reduced form
     x = isqrt(-disc - 1) // 2
-    h = _root_class_count(disc, x) + sum(1 for _ in _reduced_forms(disc, x + 1))
+    h = table.count(x) + sum(1 for _ in _reduced_forms(disc, table, x + 1))
     return ClassNumberResult(disc=disc, h=h, h_plus=None, method="reduced-form count")
 
 
@@ -217,16 +264,19 @@ def h_charsum_oracle(disc: int) -> int:
 
 
 def reduced_indefinite_forms(disc: int) -> set[tuple[int, int, int]]:
-    """All reduced indefinite forms (a, b, c) of a nonsquare discriminant disc > 0.
+    """All reduced indefinite forms (a, b, c) of a fundamental discriminant disc > 0.
 
     Reduced means 0 < b < sqrt(disc) and sqrt(disc) - b < 2|a| < sqrt(disc) + b;
     the same inequality then holds for |c| automatically.  Each form with
-    a > 0 comes with its partner (-a, b, -c).
+    a > 0 comes with its partner (-a, b, -c).  The root table's rule for a
+    prime dividing disc holds only when its square does not, so a disc that
+    is not fundamental raises ValueError.
     """
     if disc <= 0:
         raise ValueError("disc must be positive")
+    _require_fundamental(disc)
     forms: set[tuple[int, int, int]] = set()
-    for a, b, c in _reduced_forms(disc):
+    for a, b, c in _reduced_forms(disc, _RootTable(disc, isqrt(disc))):
         forms.add((a, b, c))
         forms.add((-a, b, -c))
     return forms
@@ -240,10 +290,13 @@ def h_plus_real(disc: int) -> ClassNumberResult:
     that holds both f and -f; one of even length is two.  The principal
     cycle (a = 1) is the continued-fraction period of the unit, so its
     parity gives the unit norm, and every cycle has that parity: h is the
-    number of sign-free cycles, and h+ is h or 2h.  The walk stops once it
-    has visited every positive reduced form with a <= (2s + 1) // 4,
-    counted beforehand as root classes: every cycle holds one
-    (docs/algorithms.md, section 3.3).
+    number of sign-free cycles, and h+ is h or 2h.  Every cycle holds a
+    positive reduced form with a <= head = (2s + 1) // 4, so the walks
+    start only at those: at each a <= head with N(a) > 0 of a root table
+    built up to head, one b in (s - 2a, s] per root class.  A walk closes
+    when it returns to its start, only head forms are remembered, and the
+    walks stop once they have visited every head form, counted from the
+    same table beforehand (docs/algorithms.md, section 3.3).
     """
     if disc <= 0:
         raise ValueError("disc must be positive")
@@ -251,19 +304,27 @@ def h_plus_real(disc: int) -> ClassNumberResult:
     s = isqrt(disc)
     # 4a <= 2s + 1: the window s - 2a < b <= s holds one b of each root class
     head = (2 * s + 1) // 4
-    want = _root_class_count(disc, head)
+    table = _RootTable(disc, head)
+    want = table.count(head)
+    starts = (
+        (a, s - (s - r) % (2 * a)) for a in table.rooted(1, head) for r in table.residues(a)
+    )
+    # the visited forms with a <= head, the only ones a start can meet
     seen: set[tuple[int, int]] = set()
     counted = cycles = 0
-    for a, b, c in _reduced_forms(disc):
-        if (a, b) in seen:
+    for a0, b0 in starts:
+        if (a0, b0) in seen:
             continue
-        c, length = -c, 0
-        while (a, b) not in seen:
-            seen.add((a, b))
-            counted += a <= head
+        a, b, c, length = a0, b0, (disc - b0 * b0) // (4 * a0), 0
+        while True:
+            if a <= head:
+                seen.add((a, b))
+                counted += 1
             length += 1
             b = s - (s + b) % (2 * c)
             a, c = c, (disc - b * b) // (4 * c)
+            if a == a0 and b == b0:
+                break
         if not cycles:
             odd = length % 2
         elif length % 2 != odd:

@@ -4,7 +4,8 @@ Candidate evaluations are pure, so they parallelize freely; the output is
 assembled in ascending q regardless of worker count, and a record cache
 (append-only JSON lines) makes interrupted scans resumable.  Cache lines are
 re-judged, not trusted: stale or foreign lines are ignored, and a line whose
-verdict, rank or reasons disagree with criteria.judge of its facts is
+verdict, rank or reasons disagree with criteria.judge of its facts, or
+whose claimed family violations are not those of its (p, q, d), is
 recomputed.
 """
 
@@ -24,6 +25,7 @@ from .criteria import (
     RANK,
     SCHEMA_VERSION,
     certify_freeness,
+    family_violations,
     judge,
 )
 
@@ -122,8 +124,11 @@ def _load_cache(path: str, p: int, d: int) -> dict[int, ScanRecord]:
     """Cached records for this (p, d) keyed by q.
 
     Unreadable lines, and misjudged ones (whose verdict, rank or reasons
-    disagree with judge of their facts), warn and are skipped, so their q
-    is computed afresh.
+    disagree with judge of their facts, or whose invalid list is not
+    family_violations of their (p, q, d)), warn and are skipped, so their
+    q is computed afresh.  judge takes an invalid list at its word, so only
+    a line that claims one is checked against the family conditions; a
+    certified q is guarded by _validate_emitted.
     """
     records: dict[int, ScanRecord] = {}
     unreadable = misjudged = 0
@@ -147,7 +152,9 @@ def _load_cache(path: str, p: int, d: int) -> dict[int, ScanRecord]:
                 continue
             verdict, reasons = judge(p, rec.q, d, rec.facts)
             judged = (verdict, RANK[verdict], list(reasons))
-            if (rec.verdict, rec.rank, rec.facts.get("reasons")) != judged:
+            if (rec.verdict, rec.rank, rec.facts.get("reasons")) != judged or (
+                "invalid" in rec.facts and rec.facts["invalid"] != family_violations(p, rec.q, d)
+            ):
                 misjudged += 1
                 continue
             records[rec.q] = rec

@@ -204,6 +204,23 @@ def test_factorization_validates_itself():
         Factorization(n=12, sign=1, factors=((2, 1), (3, 1)))
     with pytest.raises(ValueError):
         Factorization(n=6, sign=1, factors=((3, 1), (2, 1)))
+    # a composite "prime" is refused although the product is right
+    with pytest.raises(ValueError):
+        Factorization(n=15, sign=1, factors=((15, 1),))
+    with pytest.raises(ValueError):
+        Factorization(n=2 * 1000001, sign=-1, factors=((2, 1), (1000001, 1)))
+
+
+def test_factor_equals_the_checked_construction():
+    # factor skips the checks of a direct Factorization; its results must
+    # pass them all the same
+    rng = random.Random(23)
+    ns = [*range(-300, 0), *range(1, 3000), *(rng.randrange(1, 1 << 62) for _ in range(200))]
+    ns += [5 * 1000003, 2**61 - 1, (10**6 + 3) ** 2]
+    for n in ns:
+        got = factor(n)
+        assert got == Factorization(n=got.n, sign=got.sign, factors=got.factors), n
+        assert got.value() == n, n
 
 
 def test_squarefree_helpers():

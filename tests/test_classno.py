@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pratcert import classno
+from pratcert.arith import factor
 from pratcert.classno import (
-    _root_class_count,
+    _RootTable,
     h_charsum_oracle,
     h_imaginary,
     h_plus_real,
@@ -235,6 +236,14 @@ def test_reduced_indefinite_forms_rejects_non_positive():
             reduced_indefinite_forms(disc)
 
 
+def test_reduced_indefinite_forms_refuses_a_disc_that_is_not_fundamental():
+    # 117 = 9 * 13 has the reduced form (9, 9, -1), with 3 | a and 3^2 | disc;
+    # the root table marks every odd multiple of 9 dead, so it would drop it
+    assert (9, 9, -1) in brute_reduced_indefinite_forms(117)
+    with pytest.raises(ValueError):
+        reduced_indefinite_forms(117)
+
+
 def _brute_root_classes(disc: int, a: int) -> int:
     return sum(1 for b in range(2 * a) if (b * b - disc) % (4 * a) == 0)
 
@@ -259,11 +268,12 @@ def test_root_class_count_matches_brute_count():
         # N(a) = 0 for l^2 | a with l | disc: such a lie below 300
         assert all(any(disc % l == 0 for disc in discs) for l in (3, 5, 7, 11, 13))
         for disc in discs:
-            assert _root_class_count(disc, 0) == 0
+            table = _RootTable(disc, 300)
+            assert table.count(0) == 0
             total = 0
             for a in range(1, 301):
                 total += _brute_root_classes(disc, a)
-                assert _root_class_count(disc, a) == total, (disc, a)
+                assert table.count(a) == total, (disc, a)
 
 
 def test_root_class_count_at_high_powers_of_two():
@@ -272,10 +282,60 @@ def test_root_class_count_at_high_powers_of_two():
     expected = {1: 2, 9: 2, 5: 0, 13: 0, 8: 0, 12: 0}
     for sign in (-1, 1):
         for disc in _count_discs(sign)[:6]:
+            table = _RootTable(disc, 2**14)
             for k in (10, 14):
                 a = 2**k
-                n = _root_class_count(disc, a) - _root_class_count(disc, a - 1)
-                assert n == _brute_root_classes(disc, a) == expected[disc % 16], (disc, k)
+                n = table.count(a) - table.count(a - 1)
+                assert n == table.classes(a) == _brute_root_classes(disc, a), (disc, k)
+                assert n == expected[disc % 16], (disc, k)
+
+
+def _form_bound(disc: int) -> int:
+    # the largest leading coefficient of a reduced form
+    return isqrt(-disc // 3) if disc < 0 else isqrt(disc)
+
+
+def test_root_table_filter_is_exact():
+    # the table's N(a) is the brute root count for every a up to the largest
+    # leading coefficient, the enumerated top included, so the filter
+    # N(a) > 0 skips only a that carry no form
+    discs = _count_discs(-1) + _count_discs(1)
+    discs += _near_ten_million(-1, 1)[::2] + _near_ten_million(1, 1)[:1]
+    for disc in discs:
+        a_max = _form_bound(disc)
+        table = _RootTable(disc, a_max)
+        brute = [_brute_root_classes(disc, a) for a in range(a_max + 1)]
+        assert [table.classes(a) for a in range(1, a_max + 1)] == brute[1:], disc
+        assert list(table.rooted(1, a_max)) == [a for a in range(1, a_max + 1) if brute[a]]
+        assert table.count(a_max) == sum(brute), disc
+
+
+def test_roots_are_found_only_where_the_table_has_classes(monkeypatch):
+    # h_imaginary builds root classes only for the top a with N(a) > 0, and
+    # combines by CRT one odd prime power of such an a at a time
+    residues, crt = _RootTable.residues, classno._crt
+    built: list[int] = []
+    moduli: list[int] = []
+
+    def recording_residues(self, a):
+        built.append(a)
+        return residues(self, a)
+
+    def recording_crt(rs, modulus, roots, q):
+        moduli.append(q)
+        return crt(rs, modulus, roots, q)
+
+    monkeypatch.setattr(_RootTable, "residues", recording_residues)
+    monkeypatch.setattr(classno, "_crt", recording_crt)
+    for disc in _count_discs(-1) + _near_ten_million(-1, 1):
+        built.clear()
+        moduli.clear()
+        h_imaginary(disc)
+        top = range(_counted_bound(disc) + 1, _form_bound(disc) + 1)
+        assert built == [a for a in top if _brute_root_classes(disc, a)], disc
+        assert all(any(a % q == 0 for a in built) for q in moduli), disc
+        odd_primes = sum(sum(1 for l, _ in factor(a).factors if l > 2) for a in built)
+        assert len(moduli) == odd_primes, disc
 
 
 def test_imaginary_count_meets_enumeration():
@@ -309,7 +369,7 @@ def test_real_count_meets_enumeration():
                 head = _counted_bound(disc)
                 assert isqrt(disc) == s and 4 * head in (2 * s, 2 * s - 2)
                 forms = brute_reduced_indefinite_forms(disc)
-                assert _root_class_count(disc, head) == sum(
+                assert _RootTable(disc, head).count(head) == sum(
                     1 for a, _, _ in forms if 0 < a <= head
                 ), disc
                 assert h_plus_real(disc).h_plus == brute_rho_cycle_count(disc), disc
@@ -329,8 +389,8 @@ def test_h_plus_real_finds_cycles_beyond_a_equal_one():
 
 
 def test_h_plus_real_refuses_a_total_the_cycles_do_not_cover(monkeypatch):
-    count = classno._root_class_count
-    monkeypatch.setattr(classno, "_root_class_count", lambda disc, x: count(disc, x) + 1)
+    count = _RootTable.count
+    monkeypatch.setattr(_RootTable, "count", lambda self, x: count(self, x) + 1)
     for disc in (5, 12, 904, 34689):
         with pytest.raises(ArithmeticError):
             h_plus_real(disc)
@@ -338,40 +398,44 @@ def test_h_plus_real_refuses_a_total_the_cycles_do_not_cover(monkeypatch):
 
 def test_rho_walk_stops_within_the_counted_head(monkeypatch):
     # every cycle holds a form with |a| < sqrt(disc)/2, reached as (a, b, c)
-    # or as the partner of (|a|, b, -c): the walk, which takes the forms
-    # from a = 1, never needs an a beyond the counted head
-    enumerate_forms = classno._reduced_forms
-    reached: list[int] = []
+    # or as the partner of (|a|, b, -c): the walk starts its cycles only at
+    # the root classes of a in the counted head
+    residues = _RootTable.residues
+    starts: list[int] = []
 
-    def recording(disc, a_lo=1):
-        for form in enumerate_forms(disc, a_lo):
-            if a_lo == 1:
-                reached.append(form[0])
-            yield form
+    def recording(self, a):
+        starts.append(a)
+        return residues(self, a)
 
-    monkeypatch.setattr(classno, "_reduced_forms", recording)
+    monkeypatch.setattr(_RootTable, "residues", recording)
     for disc in [*range(5, 5000), 34572, 34689]:
         if is_fundamental_discriminant(disc):
-            reached.clear()
+            starts.clear()
             h_plus_real(disc)
-            assert max(reached) <= _counted_bound(disc), disc
+            assert starts and max(starts) <= _counted_bound(disc), disc
 
 
 def test_h_plus_real_enumerates_only_from_a_equal_one(monkeypatch):
-    # the upper half of a is never enumerated: the only call starts the
-    # walk at a = 1, and the stop total is counted as root classes
-    enumerate_forms = classno._reduced_forms
-    starts: list[int] = []
+    # the upper half of a is never enumerated: the one table reaches only
+    # the counted head, and the starts are its rooted a from a = 1
+    build, rooted = _RootTable.__init__, _RootTable.rooted
+    calls: list[tuple[str, int, int]] = []
 
-    def recording(disc, a_lo=1):
-        starts.append(a_lo)
-        return enumerate_forms(disc, a_lo)
+    def recording_build(self, disc, top):
+        calls.append(("table", 1, top))
+        build(self, disc, top)
 
-    monkeypatch.setattr(classno, "_reduced_forms", recording)
+    def recording_rooted(self, lo, hi):
+        calls.append(("rooted", lo, hi))
+        return rooted(self, lo, hi)
+
+    monkeypatch.setattr(_RootTable, "__init__", recording_build)
+    monkeypatch.setattr(_RootTable, "rooted", recording_rooted)
     for disc in (5, 12, 904, 34689, *_near_ten_million(1, 1)):
-        starts.clear()
+        calls.clear()
         h_plus_real(disc)
-        assert starts == [1], disc
+        head = _counted_bound(disc)
+        assert calls == [("table", 1, head), ("rooted", 1, head)], disc
 
 
 def test_principal_cycle_parity_is_the_unit_norm():

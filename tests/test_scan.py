@@ -204,6 +204,24 @@ def test_cache_lines_that_judge_contradicts_are_recomputed(tmp_path, capsys) -> 
         assert stored == [line] + kept + [fresh], case
 
 
+def test_cache_line_claiming_invalid_cannot_hide_a_certified_q(tmp_path, capsys) -> None:
+    # q = 79 is certified; its line is replaced by q = 19's invalid record
+    # moved to q = 79, which judge alone accepts as consistent
+    baseline = lines_of(scan_records(5, 2, 200))
+    by_q = {json.loads(line)["q"]: json.loads(line) for line in baseline}
+    assert by_q[19]["facts"]["invalid"] and not by_q[79]["facts"].get("invalid")
+    moved = dict(by_q[19], q=79)
+    assert judge(5, 79, 2, moved["facts"])[0] == moved["verdict"]
+    kept = [line for line in baseline if json.loads(line)["q"] != 79]
+    cache = tmp_path / "scan.jsonl"
+    line = json.dumps(moved, sort_keys=True, separators=(",", ":"))
+    cache.write_text("\n".join(kept + [line]) + "\n", encoding="utf-8")
+    assert scan_q(5, 2, 200, cache=str(cache)) == [79, 109]
+    err = capsys.readouterr().err
+    assert f"warning: skipped 1 misjudged cache line(s) in {cache}" in err
+    assert lines_of(scan_records(5, 2, 200, cache=str(cache))) == baseline
+
+
 def test_cache_line_missing_a_hypothesis_never_certifies() -> None:
     q, obj = _tampered_lines()["missing hypothesis fact"]
     assert obj["verdict"] == CERTIFIED_FREE and obj["facts"]["reasons"] == []
