@@ -11,29 +11,24 @@ indefinite forms up to sign, started only at the root classes of the a <=
 sqrt(D)/2 with N(a) > 0, until they have visited every such form, counted
 from the same table beforehand.  The wide h is the number of these cycles;
 the parity of the principal one is that of the unit's continued-fraction
-period, which gives the narrow h+.  Two further routines exist purely so
-the tests can cross-examine the primary ones: a character-sum formula for
-imaginary discriminants and a floating-point Dirichlet formula for real
-ones.  Neither oracle ever feeds a verdict.
+period, which gives the narrow h+.  Everything here is integer arithmetic;
+the analytic class number formulas that cross-examine these counts live in
+the test suite (tests/_oracles.py).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
 from typing import Iterator
 
-from .arith import factor, kronecker, sqrt_mod_prime_power
-from .quadratic import fundamental_unit, make_field
+from .arith import factor, sqrt_mod_prime_power
 
 __all__ = [
     "ClassNumberResult",
-    "h_charsum_oracle",
     "h_imaginary",
     "h_plus_real",
-    "h_real_analytic_oracle",
     "is_fundamental_discriminant",
     "reduced_indefinite_forms",
 ]
@@ -243,26 +238,6 @@ def h_imaginary(disc: int) -> ClassNumberResult:
     return ClassNumberResult(disc=disc, h=h, h_plus=None, method="reduced-form count")
 
 
-def h_charsum_oracle(disc: int) -> int:
-    """Character-sum class number for fundamental disc < -4 (test oracle).
-
-    h = sum of kronecker(disc, a) over 0 < a < |disc|/2, divided by
-    (2 - kronecker(disc, 2)).  Used only to cross-check h_imaginary.
-    """
-    if disc >= -4:
-        raise ValueError("the character-sum formula needs disc < -4")
-    if not is_fundamental_discriminant(disc):
-        raise ValueError("disc must be a fundamental discriminant")
-    d = -disc
-    total = 0
-    for a in range(1, (d + 1) // 2):
-        total += kronecker(disc, a)
-    h, rem = divmod(total, 2 - kronecker(disc, 2))
-    if rem:
-        raise ArithmeticError("character sum is not divisible by 2 - chi(2)")
-    return h
-
-
 def reduced_indefinite_forms(disc: int) -> set[tuple[int, int, int]]:
     """All reduced indefinite forms (a, b, c) of a fundamental discriminant disc > 0.
 
@@ -337,29 +312,3 @@ def h_plus_real(disc: int) -> ClassNumberResult:
     return ClassNumberResult(
         disc=disc, h=cycles, h_plus=cycles if odd else 2 * cycles, method="rho-cycle count"
     )
-
-
-def _log_plus(x: int, y: int, m: int, den: int) -> float:
-    # log((x + y sqrt(m)) / den) for huge integer coordinates
-    scale = 10**18
-    num = x * scale + y * isqrt(m * scale * scale)
-    return math.log(num) - math.log(scale) - math.log(den)
-
-
-def h_real_analytic_oracle(disc: int) -> float:
-    """Dirichlet formula for the wide class number of a real field (oracle).
-
-    Returns the float  -sum_a chi(a) log sin(pi a / disc) / (2 log eps);
-    rounding it must reproduce h.  Acceptance cross-check only.
-    """
-    if disc <= 0 or not is_fundamental_discriminant(disc):
-        raise ValueError("disc must be a positive fundamental discriminant")
-    m = disc if disc % 4 == 1 else disc // 4
-    u = fundamental_unit(make_field(m)).elem
-    log_eps = _log_plus(u.x, u.y, m, u.den)
-    total = 0.0
-    for a in range(1, disc):
-        chi = kronecker(disc, a)
-        if chi:
-            total -= chi * math.log(math.sin(math.pi * a / disc))
-    return total / (2 * log_eps)

@@ -23,6 +23,7 @@ from .classno import h_imaginary, h_plus_real
 from .localfield import (
     LocalContext,
     _pth_power_flags,
+    _require_p,
     classify_splitting,
     is_pth_power_local,
     mu_p_in_local,
@@ -115,7 +116,7 @@ def family_violations(p: int, q: int, d: int) -> list[str]:
         reasons.append("d must be below 2^64")
     elif not d_ok:
         reasons.append("d must be a positive integer")
-    elif d > 1 and not _is_squarefree(d):
+    elif d > 1 and not factor(d).is_squarefree():
         reasons.append("d must be squarefree")
         d_ok = False
     if d_ok and p_ok and d % p == 0:
@@ -127,10 +128,6 @@ def family_violations(p: int, q: int, d: int) -> list[str]:
     if d_ok and q_ok and q != p and d % q != 0 and kronecker(-d, q) != -1:
         reasons.append("-d must be a quadratic non-residue modulo q")
     return reasons
-
-
-def _is_squarefree(n: int) -> bool:
-    return factor(n).is_squarefree()
 
 
 def validate_family(p: int, q: int, d: int) -> FamilyParams:
@@ -161,18 +158,13 @@ class PRationalityReport:
     verdict: bool
 
 
-def _require_prime_p(p: int) -> None:
-    if p < 5 or not is_prime(p):
-        raise ValueError("p must be a prime >= 5")
-
-
 def prat_imag(d0: int, p: int) -> PRationalityReport:
     """p-rationality of the imaginary quadratic field Q(sqrt(-d0)), d0 > 0.
 
     For an imaginary quadratic field and p >= 5 the criterion is a single
     class-number condition: the field is p-rational iff p does not divide h.
     """
-    _require_prime_p(p)
+    _require_p(p)
     if d0 < 1:
         raise ValueError("d0 must be a positive integer")
     field = make_field(-d0)
@@ -199,7 +191,7 @@ def prat_real(m: int, p: int) -> PRationalityReport:
     Criterion for p >= 5: p does not divide the class number, and the
     fundamental unit is not a p-th power in any completion above p.
     """
-    _require_prime_p(p)
+    _require_p(p)
     if m < 2:
         raise ValueError("m must be an integer > 1")
     field = make_field(m)
@@ -228,7 +220,7 @@ def prat_biquad(m1: int, m2: int, p: int) -> PRationalityReport:
     radicands m1, m2 and the squarefree core of m1*m2, each dispatched to
     the real or imaginary criterion by sign.
     """
-    _require_prime_p(p)
+    _require_p(p)
     f1 = make_field(m1)
     f2 = make_field(m2)
     if f1.m == f2.m:

@@ -8,7 +8,8 @@ group order (p - 1 in residue field F_p, p**2 - 1 in F_{p^2}).  The mod-p**2
 precision suffices because the p-th powers of principal units form exactly
 1 + m**3 in the ramified case and 1 + p**2 O in the unramified case; the
 derivations live in docs/algorithms.md.  p = 2 and p = 3 are rejected
-everywhere: the criteria below assume p >= 5.
+everywhere, by _require_p: the criteria below assume p >= 5.  The tests
+check the ramified criterion by exhaustion (tests/_oracles.py).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "classify_splitting",
     "is_pth_power_local",
     "mu_p_in_local",
-    "pth_power_oracle",
     "tower_places",
 ]
 
@@ -113,31 +113,6 @@ def is_pth_power_local(u: QuadElem, ctx: LocalContext) -> tuple[bool, ...]:
     if abs(u.norm()) != 1:
         raise ValueError("the local p-th power test expects a unit of norm +-1")
     return _pth_power_flags(u.x, u.y, u.den, ctx)
-
-
-def pth_power_oracle(u: QuadElem, ctx: LocalContext) -> bool:
-    """Exhaustive p-th power test for the ramified kind, p in {5, 7} only.
-
-    Enumerates all p**3 candidates a + b sqrt(m) with a mod p**2, b mod p and
-    compares p-th powers coordinatewise (p**2 on A, p on B).  Ground truth
-    for the congruence criterion in tests.
-    """
-    if ctx.kind != "ramified":
-        raise ValueError("the oracle handles the ramified kind only")
-    if ctx.p > 7:
-        raise ValueError("the oracle is restricted to p in {5, 7}")
-    p = ctx.p
-    p2 = p * p
-    m = ctx.field.m % p2
-    inv_den = pow(u.den, -1, p2)
-    ta = u.x * inv_den % p2
-    tb = u.y * inv_den % p2
-    for a in range(p2):
-        for b in range(p):
-            wa, wb = _pair_pow((a, b), p, m, p2)
-            if (wa - ta) % p2 == 0 and (wb - tb) % p == 0:
-                return True
-    return False
 
 
 def mu_p_in_local(t: int, p: int) -> bool:

@@ -28,6 +28,7 @@ from .criteria import (
     family_violations,
     judge,
 )
+from .localfield import _require_p
 
 __all__ = [
     "ScanRecord",
@@ -180,6 +181,13 @@ def _candidates(p: int, q_max: int) -> list[int]:
     return [q for q in range(p - 1, q_max + 1, p) if is_prime(q)]
 
 
+def _require_scan_bounds(q_max: int, jobs: int) -> None:
+    if not 0 <= q_max < 1 << 64:
+        raise ValueError("q_max must be >= 0 and below 2^64")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+
+
 def scan_records(
     p: int, d: int, q_max: int, *, cache: str | None = None, jobs: int = 1
 ) -> list[ScanRecord]:
@@ -192,12 +200,8 @@ def scan_records(
     the family (for instance a d that fails the residue conditions) produce
     NOT_CERTIFIED records whose facts list the violations.
     """
-    if p < 5 or not is_prime(p):
-        raise ValueError("p must be a prime >= 5")
-    if not 0 <= q_max < 1 << 64:
-        raise ValueError("q_max must be >= 0 and below 2^64")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    _require_p(p)
+    _require_scan_bounds(q_max, jobs)
     candidates = _candidates(p, q_max)
     cached: dict[int, ScanRecord] = {}
     if cache is not None:
@@ -265,7 +269,9 @@ class TableRow:
 def reproduce_table(
     p_list: list[int], q_max: int, d: int, *, jobs: int = 1
 ) -> list[TableRow]:
-    """One row per p; a failing row records its error without aborting the rest."""
+    """One row per p; a failing row records its error without aborting the
+    rest, but a bad q_max or jobs, shared by every row, raises ValueError."""
+    _require_scan_bounds(q_max, jobs)
     rows: list[TableRow] = []
     for p in p_list:
         try:

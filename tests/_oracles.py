@@ -1,10 +1,12 @@
 """Independent oracles for the test suite.
 
 Every routine here recomputes a quantity through a route disjoint from the
-package implementation: brute-force search, direct definitions, or textbook
-recurrences.  None of them import package internals beyond what a test
-would already hold in hand (integer inputs and outputs), so an agreement
-between package and oracle is evidence, not circularity.
+package implementation: brute-force search, direct definitions, analytic
+class number formulas, or textbook recurrences.  The module imports nothing
+from pratcert; its routines take and return plain integers (the real
+analytic formula returns a float), so an agreement between package and
+oracle is evidence, not circularity.  The floating point of the analytic
+formulas lives here, since the package has none.
 """
 
 from __future__ import annotations
@@ -35,6 +37,49 @@ def brute_factor(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def is_fundamental_disc(d: int) -> bool:
+    """Whether d is a fundamental discriminant, squarefree by trial division.
+
+    d = 1 (mod 4) squarefree, or d = 4k with k = 2, 3 (mod 4) squarefree;
+    d = 1 is the discriminant of no quadratic field.
+    """
+    if d % 4 == 1 and d != 1:
+        core = d
+    elif d % 4 == 0 and d // 4 % 4 in (2, 3):
+        core = d // 4
+    else:
+        return False
+    return all(e == 1 for e in brute_factor(core).values())
+
+
+def kronecker(a: int, n: int) -> int:
+    """Kronecker symbol (a|n) for n >= 1, by quadratic reciprocity.
+
+    Each factor 2 of n contributes (a|2): 0 for even a, -1 for a = +-3
+    (mod 8), 1 otherwise.  The odd part is a Jacobi symbol, reduced by
+    reciprocity and the supplement for 2 without factoring n.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    sign = 1
+    while n % 2 == 0:
+        if a % 2 == 0:
+            return 0
+        if a % 8 in (3, 5):
+            sign = -sign
+        n //= 2
+    a %= n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
 
 
 def naive_kronecker_prime(a: int, p: int) -> int:
@@ -338,3 +383,72 @@ def brute_rho_cycle_count(disc: int) -> int:
     """The narrow class number h+ of a fundamental disc > 0, as the number
     of rho-cycles of brute_rho_cycles."""
     return len(brute_rho_cycles(disc))
+
+
+def h_charsum_oracle(disc: int) -> int:
+    """Class number of a fundamental disc < -4 by the character sum.
+
+    h = (sum of kronecker(disc, a) over 0 < a < |disc|/2) / (2 - kronecker(disc, 2))
+    (docs/algorithms.md, section 3.2); a sum that 2 - chi(2) does not
+    divide raises instead of rounding.
+    """
+    if disc >= -4:
+        raise ValueError("the character-sum formula needs disc < -4")
+    if not is_fundamental_disc(disc):
+        raise ValueError("disc must be a fundamental discriminant")
+    total = sum(kronecker(disc, a) for a in range(1, (1 - disc) // 2))
+    h, rem = divmod(total, 2 - kronecker(disc, 2))
+    if rem:
+        raise ArithmeticError("character sum is not divisible by 2 - chi(2)")
+    return h
+
+
+def h_real_analytic_oracle(disc: int) -> float:
+    """Dirichlet's formula for the wide class number of a fundamental disc > 0.
+
+    Returns the float -sum_a chi(a) log sin(pi a / disc) / (2 log eps) over
+    0 < a < disc, which must round to h (docs/algorithms.md, section 3.4).
+    eps is the unit of cf_unit_oracle.
+    """
+    if disc <= 0 or not is_fundamental_disc(disc):
+        raise ValueError("disc must be a positive fundamental discriminant")
+    m = disc if disc % 4 == 1 else disc // 4
+    x, y, den, _, _ = cf_unit_oracle(m)
+    total = 0.0
+    for a in range(1, disc):
+        chi = kronecker(disc, a)
+        if chi:
+            total -= chi * math.log(math.sin(math.pi * a / disc))
+    return total / (2 * _log_value(x, y, den, m))
+
+
+def _pair_power(a: int, b: int, e: int, m: int, mod: int) -> tuple[int, int]:
+    # (a + b sqrt m)^e modulo mod, by e plain multiplications
+    x, y = 1, 0
+    for _ in range(e):
+        x, y = (x * a + m * y * b) % mod, (x * b + y * a) % mod
+    return x, y
+
+
+def pth_power_oracle(x: int, y: int, den: int, m: int, p: int) -> bool:
+    """Whether (x + y sqrt m)/den is a p-th power in the completion of
+    Q(sqrt m) at p, for p in {5, 7} dividing the squarefree m (ramified).
+
+    Enumerates all p**3 candidates a + b sqrt(m) with a mod p**2, b mod p,
+    and compares their p-th powers with the target coordinatewise: p**2 on
+    the rational part, p on the part at sqrt(m) (docs/algorithms.md,
+    section 4.3).
+    """
+    if p not in (5, 7):
+        raise ValueError("the oracle is restricted to p in {5, 7}")
+    if m % p:
+        raise ValueError("the oracle handles the ramified kind only: p must divide m")
+    p2 = p * p
+    inv_den = pow(den, -1, p2)
+    ta, tb = x * inv_den % p2, y * inv_den % p2
+    for a in range(p2):
+        for b in range(p):
+            wa, wb = _pair_power(a, b, p, m, p2)
+            if (wa - ta) % p2 == 0 and (wb - tb) % p == 0:
+                return True
+    return False

@@ -1,4 +1,5 @@
-"""Shared pytest wiring: summary lines for the acceptance criteria.
+"""Shared pytest wiring: summary lines for the acceptance criteria, and
+the benchmark's span table for the tests that check it against pratcert.
 
 Tests named test_criterion_<n>_* (in tests/test_acceptance.py) get one
 "criterion n: PASS/FAIL - <first docstring line>" line in a dedicated
@@ -8,7 +9,15 @@ glance even inside a long run.
 
 from __future__ import annotations
 
+import importlib.util
 import re
+import sys
+from pathlib import Path
+from types import ModuleType
+
+import pytest
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")
 
@@ -47,3 +56,21 @@ def pytest_terminal_summary(terminalreporter) -> None:
         terminalreporter.write_line(
             f"criterion {number}: {_outcomes[number]} - {description}"
         )
+
+
+@pytest.fixture(scope="session")
+def bench_spans() -> ModuleType:
+    """bench/spans.py, loaded from its path without writing bytecode."""
+    name = "_bench_spans_under_test"
+    spec = importlib.util.spec_from_file_location(name, SPANS)
+    assert spec is not None and spec.loader is not None
+    spans = importlib.util.module_from_spec(spec)
+    sys.modules[name] = spans  # dataclasses resolve their module by name
+    write_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave no __pycache__ under bench/
+    try:
+        spec.loader.exec_module(spans)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+        del sys.modules[name]
+    return spans

@@ -1,16 +1,38 @@
-"""The public API: every exported name resolves to an object."""
+"""The public API: every exported name resolves to an object, and src/
+ships only what a verdict or a command runs."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pratcert
 
+SRC = Path(pratcert.__file__).resolve().parent
+ORACLES = Path(__file__).resolve().parent / "_oracles.py"
+
+# exported, yet reached only from tests and from bench/spans.py, which wraps
+# them by name; they leave src/ together with their spans
+SPAN_HELD = {
+    ("arith", "primes_up_to"),
+    ("classno", "reduced_indefinite_forms"),
+    ("quadratic", "unit_norm_sign"),
+}
+
+
+def _submodules() -> list:
+    names = [info.name for info in pkgutil.iter_modules(pratcert.__path__)]
+    return [importlib.import_module(f"pratcert.{name}") for name in names]
+
+
+def _nodes(path: Path):
+    return ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+
 
 def test_every_exported_name_resolves() -> None:
-    names = [info.name for info in pkgutil.iter_modules(pratcert.__path__)]
-    modules = [pratcert] + [importlib.import_module(f"pratcert.{name}") for name in names]
+    modules = [pratcert] + _submodules()
     exporting = [mod for mod in modules if hasattr(mod, "__all__")]
     assert {mod.__name__ for mod in exporting} >= {
         "pratcert",
@@ -26,3 +48,45 @@ def test_every_exported_name_resolves() -> None:
         for name in mod.__all__:
             assert hasattr(mod, name), f"{mod.__name__}.{name}"
 
+
+def test_every_exported_name_is_reached_from_src(bench_spans) -> None:
+    # reached: read by code in src/, or exported by the package itself
+    reached = set(pratcert.__all__)
+    for path in SRC.glob("*.py"):
+        for node in _nodes(path):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reached.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reached.add(node.attr)
+    unreached = {
+        (mod.__name__.rpartition(".")[2], name)
+        for mod in _submodules()
+        for name in getattr(mod, "__all__", ())
+        if name not in reached
+    }
+    assert unreached == SPAN_HELD
+    targets = {(module, func) for module, func, _, _ in bench_spans.TARGETS}
+    assert SPAN_HELD <= targets
+
+
+def test_oracles_import_nothing_from_pratcert() -> None:
+    for node in _nodes(ORACLES):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        assert not any(m.split(".")[0] == "pratcert" for m in modules), ast.unparse(node)
+
+
+def test_src_has_no_floating_point() -> None:
+    for path in SRC.glob("*.py"):
+        for node in _nodes(path):
+            if isinstance(node, ast.Constant):
+                assert not isinstance(node.value, (float, complex)), (path.name, node.value)
+            elif isinstance(node, ast.Import):
+                assert "math" not in [alias.name for alias in node.names], path.name
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                names = {alias.name for alias in node.names}
+                assert names <= {"gcd", "isqrt"}, (path.name, names)

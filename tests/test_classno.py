@@ -8,13 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pratcert import classno
-from pratcert.arith import factor
+from pratcert.arith import factor, kronecker
 from pratcert.classno import (
     _RootTable,
-    h_charsum_oracle,
     h_imaginary,
     h_plus_real,
-    h_real_analytic_oracle,
     is_fundamental_discriminant,
     reduced_indefinite_forms,
 )
@@ -24,6 +22,10 @@ from _oracles import (
     brute_reduced_indefinite_forms,
     brute_rho_cycle_count,
     brute_rho_cycles,
+    h_charsum_oracle,
+    h_real_analytic_oracle,
+    is_fundamental_disc,
+    kronecker as oracle_kronecker,
 )
 
 
@@ -73,6 +75,15 @@ def test_charsum_oracle_rejects_out_of_range():
         h_charsum_oracle(-3)
     with pytest.raises(ValueError):
         h_charsum_oracle(-12)
+
+
+def test_oracle_symbol_and_discriminant_test_match_the_package():
+    # the analytic oracles read these two helpers of their own
+    for n in range(1, 200):
+        for a in range(-200, 200):
+            assert oracle_kronecker(a, n) == kronecker(a, n), (a, n)
+    for d in range(-3000, 3000):
+        assert is_fundamental_disc(d) == is_fundamental_discriminant(d), d
 
 
 def test_h_imaginary_matches_charsum_sample():

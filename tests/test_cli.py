@@ -231,6 +231,18 @@ def test_table_text_and_error_rows(capsys) -> None:
     assert out.splitlines() == ["p=4: error: ValueError: p must be a prime >= 5"]
 
 
+def test_table_rejects_bad_table_wide_flags_once(capsys) -> None:
+    base = ["table", "--p-list", "5,7", "--d", "2"]
+    for flags, message in (
+        (["--q-max", "-1"], "q_max must be >= 0"),
+        (["--q-max", "50", "--jobs", "0"], "jobs must be >= 1"),
+    ):
+        code, out, err = run(capsys, base + flags)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("error:") == 1 and message in err, err
+
+
 def test_table_json_shape(capsys) -> None:
     code, out, _ = run(
         capsys,

@@ -11,11 +11,10 @@ from pratcert.localfield import (
     classify_splitting,
     is_pth_power_local,
     mu_p_in_local,
-    pth_power_oracle,
     tower_places,
 )
 from pratcert.quadratic import QuadElem, fundamental_unit, make_field
-from _oracles import stabilized_place_count
+from _oracles import pth_power_oracle, stabilized_place_count
 
 
 def _random_units(m: int, count: int, seed: int) -> list[QuadElem]:
@@ -136,19 +135,21 @@ def test_ramified_oracle_agrees_on_random_units():
         ctx = classify_splitting(field, p)
         assert ctx.kind == "ramified"
         for u in _random_units(m, 40, seed=m * p):
-            assert pth_power_oracle(u, ctx) == is_pth_power_local(u, ctx)[0]
-            assert pth_power_oracle(u**p, ctx)
+            oracle = pth_power_oracle(u.x, u.y, u.den, field.m, p)
+            assert oracle == is_pth_power_local(u, ctx)[0]
+            w = u**p
+            assert pth_power_oracle(w.x, w.y, w.den, field.m, p)
 
 
 def test_ramified_oracle_rejects_wrong_inputs():
+    # 5 does not divide 11: the unramified kind
     with pytest.raises(ValueError):
-        pth_power_oracle(
-            QuadElem(make_field(11), 10, 3), classify_splitting(make_field(11), 5)
-        )
-    ctx = classify_splitting(make_field(33), 11)
-    assert ctx.kind == "ramified"
+        pth_power_oracle(10, 3, 1, 11, 5)
+    # 11 ramifies in Q(sqrt 33), but the oracle is for p in {5, 7} only
+    assert classify_splitting(make_field(33), 11).kind == "ramified"
+    eps = fundamental_unit(make_field(33)).elem
     with pytest.raises(ValueError):
-        pth_power_oracle(fundamental_unit(make_field(33)).elem, ctx)
+        pth_power_oracle(eps.x, eps.y, eps.den, 33, 11)
 
 
 def test_mu_p_in_local_examples():

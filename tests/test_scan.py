@@ -313,3 +313,11 @@ def test_reproduce_table_rows_and_error_isolation() -> None:
         p=4, certified=(), error="ValueError: p must be a prime >= 5"
     )
     assert rows[1] == TableRow(p=7, certified=(13,), error=None)
+
+
+def test_reproduce_table_refuses_bad_table_wide_flags() -> None:
+    # q_max and jobs hold for every row: refused once, not row by row
+    with pytest.raises(ValueError, match="q_max must be >= 0"):
+        reproduce_table([5, 7], -1, 2)
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        reproduce_table([5, 7], 50, 2, jobs=0)
