@@ -109,12 +109,6 @@ class Factorization:
     def value(self) -> int:
         return self.sign * self.n
 
-    def valuation(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
 

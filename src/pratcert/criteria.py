@@ -92,18 +92,23 @@ def family_violations(p: int, q: int, d: int) -> list[str]:
 
     Conditions: p prime > 3; q an odd prime distinct from p with
     q = -1 (mod p); d >= 1 squarefree, coprime to pq, with -d a quadratic
-    non-residue mod p and mod q.  p, q and d must be below 2^64, where
-    primality (and so the squarefree test of d) is decided
+    non-residue mod p and mod q.  p, q and d must be integers (a bool is
+    not one), named and checked no further otherwise, and below 2^64,
+    where primality (and so the squarefree test of d) is decided
     deterministically.
     """
     reasons: list[str] = []
-    p_ok = 3 < p < _PRIME_BOUND and is_prime(p)
-    if p >= _PRIME_BOUND:
+    p_ok = type(p) is int and 3 < p < _PRIME_BOUND and is_prime(p)
+    if type(p) is not int:
+        reasons.append("p must be an integer")
+    elif p >= _PRIME_BOUND:
         reasons.append("p must be below 2^64")
     elif not p_ok:
         reasons.append("p must be a prime greater than 3")
-    q_ok = 3 <= q < _PRIME_BOUND and q % 2 == 1 and is_prime(q)
-    if q >= _PRIME_BOUND:
+    q_ok = type(q) is int and 3 <= q < _PRIME_BOUND and q % 2 == 1 and is_prime(q)
+    if type(q) is not int:
+        reasons.append("q must be an integer")
+    elif q >= _PRIME_BOUND:
         reasons.append("q must be below 2^64")
     elif not q_ok:
         reasons.append("q must be an odd prime")
@@ -111,8 +116,10 @@ def family_violations(p: int, q: int, d: int) -> list[str]:
         reasons.append("q must be distinct from p")
     if p_ok and q_ok and q != p and (q + 1) % p != 0:
         reasons.append("q must be congruent to -1 modulo p")
-    d_ok = 1 <= d < _PRIME_BOUND
-    if d >= _PRIME_BOUND:
+    d_ok = type(d) is int and 1 <= d < _PRIME_BOUND
+    if type(d) is not int:
+        reasons.append("d must be an integer")
+    elif d >= _PRIME_BOUND:
         reasons.append("d must be below 2^64")
     elif not d_ok:
         reasons.append("d must be a positive integer")

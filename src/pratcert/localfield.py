@@ -45,6 +45,8 @@ class LocalContext:
 
 
 def _require_p(p: int) -> None:
+    if type(p) is not int:
+        raise ValueError("p must be an integer")
     if p < 5 or not is_prime(p):
         raise ValueError("p must be a prime >= 5")
 

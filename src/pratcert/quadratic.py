@@ -127,9 +127,6 @@ class QuadElem:
         assert rem == 0
         return num
 
-    def conjugate(self) -> "QuadElem":
-        return QuadElem(self.field, self.x, -self.y, self.den)
-
     def inverse(self) -> "QuadElem":
         n = self.norm()
         if abs(n) != 1:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
@@ -170,6 +169,10 @@ def _compute(todo: list[tuple[int, int, int]], jobs: int) -> Iterator[ScanRecord
         for args in todo:
             yield _worker(args)
         return
+    # imported here, not at the top: the pool pulls in multiprocessing, which
+    # would otherwise slow every import of pratcert that never runs a pool
+    from concurrent.futures import ProcessPoolExecutor
+
     chunksize = max(1, len(todo) // (4 * jobs))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         yield from pool.map(_worker, todo, chunksize=chunksize)
@@ -181,7 +184,12 @@ def _candidates(p: int, q_max: int) -> list[int]:
     return [q for q in range(p - 1, q_max + 1, p) if is_prime(q)]
 
 
-def _require_scan_bounds(q_max: int, jobs: int) -> None:
+def _require_scan_bounds(d: int, q_max: int, jobs: int) -> None:
+    # an integer d outside the family gives records that name its fault, but
+    # a record's d, like that of its cache line, is an integer
+    for name, value in (("d", d), ("q_max", q_max), ("jobs", jobs)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer")
     if not 0 <= q_max < 1 << 64:
         raise ValueError("q_max must be >= 0 and below 2^64")
     if jobs < 1:
@@ -201,7 +209,7 @@ def scan_records(
     NOT_CERTIFIED records whose facts list the violations.
     """
     _require_p(p)
-    _require_scan_bounds(q_max, jobs)
+    _require_scan_bounds(d, q_max, jobs)
     candidates = _candidates(p, q_max)
     cached: dict[int, ScanRecord] = {}
     if cache is not None:
@@ -270,8 +278,9 @@ def reproduce_table(
     p_list: list[int], q_max: int, d: int, *, jobs: int = 1
 ) -> list[TableRow]:
     """One row per p; a failing row records its error without aborting the
-    rest, but a bad q_max or jobs, shared by every row, raises ValueError."""
-    _require_scan_bounds(q_max, jobs)
+    rest, but a bad q_max or jobs, or a d that is not an integer, shared by
+    every row, raises ValueError."""
+    _require_scan_bounds(d, q_max, jobs)
     rows: list[TableRow] = []
     for p in p_list:
         try:

@@ -6,6 +6,8 @@ from __future__ import annotations
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pratcert
@@ -20,6 +22,10 @@ SPAN_HELD = {
     ("classno", "reduced_indefinite_forms"),
     ("quadratic", "unit_norm_sign"),
 }
+
+# public methods that no code in src/ calls, held as API: from_dict is the
+# documented inverse of to_dict
+METHOD_HELD = {("criteria", "FreenessReport", "from_dict")}
 
 
 def _submodules() -> list:
@@ -50,14 +56,22 @@ def test_every_exported_name_resolves() -> None:
 
 
 def test_every_exported_name_is_reached_from_src(bench_spans) -> None:
-    # reached: read by code in src/, or exported by the package itself
+    # reached: read by code in src/, or exported by the package itself; the
+    # public methods of classes in src/ are held to the same rule
     reached = set(pratcert.__all__)
+    methods = set()
     for path in SRC.glob("*.py"):
         for node in _nodes(path):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 reached.add(node.id)
             elif isinstance(node, ast.Attribute):
                 reached.add(node.attr)
+            elif isinstance(node, ast.ClassDef):
+                methods |= {
+                    (path.stem, node.name, item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                }
     unreached = {
         (mod.__name__.rpartition(".")[2], name)
         for mod in _submodules()
@@ -67,6 +81,27 @@ def test_every_exported_name_is_reached_from_src(bench_spans) -> None:
     assert unreached == SPAN_HELD
     targets = {(module, func) for module, func, _, _ in bench_spans.TARGETS}
     assert SPAN_HELD <= targets
+    assert {method for method in methods if method[2] not in reached} == METHOD_HELD
+
+
+def test_import_loads_no_process_pool() -> None:
+    # only a scan with jobs > 1 needs the pool; site may preload modules, so
+    # a fresh interpreter compares sys.modules around its own import
+    probe = f"""
+import sys
+sys.path.insert(0, {str(SRC.parent)!r})
+before = set(sys.modules)
+import pratcert, pratcert.cli
+added = set(sys.modules) - before
+print(sorted(m for m in added if m.split(".")[0] in ("concurrent", "multiprocessing")))
+from pratcert.scan import scan_q
+print(scan_q(7, 2, 2000, jobs=2) == scan_q(7, 2, 2000, jobs=1))
+"""
+    child = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == ["[]", "True"]
 
 
 def test_oracles_import_nothing_from_pratcert() -> None:

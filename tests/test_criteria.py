@@ -218,6 +218,24 @@ def test_certify_beyond_64_bits_is_an_invalid_report():
     assert family_violations(7, 2**64 - 59, 2) == []
 
 
+@pytest.mark.parametrize(
+    ("args", "named"),
+    [
+        ((5.0, 29, 2), "p must be an integer"),
+        ((5, 29.0, 2), "q must be an integer"),
+        ((5, 29, 2.0), "d must be an integer"),
+        (("5", 29, 2), "p must be an integer"),
+        ((5, 29, True), "d must be an integer"),
+    ],
+)
+def test_certify_names_a_parameter_that_is_not_an_integer(args, named):
+    # (5, 29, 2) is a member; the parameter's other conditions are skipped
+    report = certify_freeness(*args)
+    assert report.verdict == NOT_CERTIFIED
+    assert report.invalid == (named,)
+    assert report.facts == {}
+
+
 def test_certify_exact_unit_beyond_the_digit_limit():
     # facts["unit"] is the unit's text, about 30600 characters here, beyond
     # the interpreter's default limit of 4300 digits per int

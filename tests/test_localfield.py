@@ -59,6 +59,12 @@ def test_classify_rejects_small_p():
             classify_splitting(make_field(11), p)
 
 
+def test_classify_rejects_a_p_that_is_not_an_integer():
+    for p in (5.0, "5", True):
+        with pytest.raises(ValueError, match="p must be an integer"):
+            classify_splitting(make_field(11), p)
+
+
 def test_context_validates_kind_and_lifts():
     f = make_field(11)
     with pytest.raises(ValueError):

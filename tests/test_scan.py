@@ -131,6 +131,21 @@ def test_scan_records_rejects_bad_inputs() -> None:
         scan_records(5, 2, 100, jobs=0)
 
 
+@pytest.mark.parametrize(
+    ("args", "kwargs", "named"),
+    [
+        ((5.0, 2, 100), {}, "p must be an integer"),
+        ((5, 2, 100.0), {}, "q_max must be an integer"),
+        ((5, 2.0, 100), {}, "d must be an integer"),
+        ((5, 2, 100), {"jobs": 2.0}, "jobs must be an integer"),
+        ((5, 2, 100), {"jobs": True}, "jobs must be an integer"),
+    ],
+)
+def test_scan_refuses_a_parameter_that_is_not_an_integer(args, kwargs, named) -> None:
+    with pytest.raises(ValueError, match=named):
+        scan_q(*args, **kwargs)
+
+
 def test_cache_file_contains_exact_record_lines(tmp_path) -> None:
     cache = tmp_path / "scan.jsonl"
     records = scan_records(5, 2, 200, cache=str(cache))
@@ -316,8 +331,11 @@ def test_reproduce_table_rows_and_error_isolation() -> None:
 
 
 def test_reproduce_table_refuses_bad_table_wide_flags() -> None:
-    # q_max and jobs hold for every row: refused once, not row by row
+    # q_max, jobs and the type of d hold for every row: refused once, not
+    # row by row
     with pytest.raises(ValueError, match="q_max must be >= 0"):
         reproduce_table([5, 7], -1, 2)
+    with pytest.raises(ValueError, match="d must be an integer"):
+        reproduce_table([5, 7], 50, 2.0)
     with pytest.raises(ValueError, match="jobs must be >= 1"):
         reproduce_table([5, 7], 50, 2, jobs=0)
