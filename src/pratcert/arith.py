@@ -39,6 +39,10 @@ _PSI += (341550071728321,) * 2 + (3825123056546413051,) * 3
 
 _TRIAL_LIMIT = 10**6
 
+# primality is proven below this bound, and is_prime refuses larger input;
+# every module that needs a primality decision checks its input against it
+_PRIME_BOUND = 1 << 64
+
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < 2**64.
@@ -48,7 +52,7 @@ def is_prime(n: int) -> bool:
     """
     if n < 0:
         raise ValueError("is_prime expects a nonnegative integer")
-    if n >= 1 << 64:
+    if n >= _PRIME_BOUND:
         raise ValueError("is_prime is deterministic only for 64-bit inputs")
     if n < 2:
         return False
@@ -105,9 +109,6 @@ class Factorization:
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "factors", factors)
         return self
-
-    def value(self) -> int:
-        return self.sign * self.n
 
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
@@ -188,14 +189,14 @@ def factor(n: int) -> Factorization:
                 m //= f
                 e += 1
             out[f] = e
-            if m < 1 << 64 and is_prime(m):  # is_prime refuses 2**64 and up
+            if m < _PRIME_BOUND and is_prime(m):
                 out[m] = 1
                 m = 1
     if m > 1:
         if f * f > m:
             # no divisor up to sqrt(m): the cofactor is prime
             out[m] = out.get(m, 0) + 1
-        elif m >= 1 << 64:
+        elif m >= _PRIME_BOUND:
             raise ValueError(
                 "factor needs the cofactor left after trial division to 10**6 "
                 "below 2^64, where primality is deterministic"

@@ -23,7 +23,7 @@ from itertools import compress
 from math import isqrt
 from typing import Iterator
 
-from .arith import factor, sqrt_mod_prime_power
+from .arith import _PRIME_BOUND, factor, sqrt_mod_prime_power
 
 __all__ = [
     "ClassNumberResult",
@@ -56,7 +56,7 @@ def is_fundamental_discriminant(d: int) -> bool:
 def _require_fundamental(disc: int) -> None:
     # factor decides squarefreeness through is_prime, which is proven
     # deterministic below 2^64 and refuses larger input
-    if abs(disc) >= 1 << 64:
+    if abs(disc) >= _PRIME_BOUND:
         raise ValueError("|disc| must be below 2^64")
     if not is_fundamental_discriminant(disc):
         raise ValueError("disc must be a fundamental discriminant")

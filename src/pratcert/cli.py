@@ -17,15 +17,7 @@ from typing import Any
 from ._version import __version__
 from .arith import unlimited_int_digits
 from .classno import h_imaginary, h_plus_real
-from .criteria import (
-    CERTIFIED_FREE,
-    SCHEMA_VERSION,
-    FreenessReport,
-    PRationalityReport,
-    certify_freeness,
-    prat_imag,
-    prat_real,
-)
+from .criteria import CERTIFIED_FREE, SCHEMA_VERSION, certify_freeness, prat_imag, prat_real
 from .quadratic import fundamental_unit, make_field
 from .scan import reproduce_table, scan_q
 
@@ -48,10 +40,6 @@ def _verdict_text(verdict: str) -> str:
     return f"\x1b[{code}m{label}\x1b[0m"
 
 
-def _dump_json(payload: dict[str, Any]) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
-
-
 def _csv_escape(value: Any) -> str:
     text = str(value)
     if any(ch in text for ch in ",\"\n"):
@@ -59,39 +47,19 @@ def _csv_escape(value: Any) -> str:
     return text
 
 
-def _print_csv(rows: list[list[Any]]) -> None:
-    for row in rows:
-        print(",".join(_csv_escape(v) for v in row))
-
-
-def _render_check(report: FreenessReport, fmt: str) -> None:
+def _emit(fmt: str, payload: dict[str, Any], rows: list[list[Any]], lines: list[str]) -> int:
+    """Print one answer in fmt: payload as versioned JSON, rows as CSV, or
+    lines as text."""
     if fmt == "json":
-        _dump_json(report.to_dict())
-        return
-    if fmt == "csv":
-        rows: list[list[Any]] = [["key", "value"]]
-        rows += [["p", report.p], ["q", report.q], ["d", report.d]]
-        rows += [["verdict", report.verdict], ["rank", report.rank], ["mode", report.mode]]
-        rows += [[f"facts.{k}", v] for k, v in report.facts.items()]
-        rows += [["reason", r] for r in report.reasons]
-        _print_csv(rows)
-        return
-    field = f"Q(sqrt({report.p * report.q}), sqrt({-report.d}))"
-    print(f"field {field} with p={report.p} q={report.q} d={report.d}")
-    if report.verdict == CERTIFIED_FREE:
-        print(f"verdict: {_verdict_text(report.verdict)} (rank {report.rank})")
+        header = {"schema_version": SCHEMA_VERSION, "tool_version": __version__}
+        print(json.dumps({**payload, **header}, sort_keys=True, indent=2))
+    elif fmt == "csv":
+        for row in rows:
+            print(",".join(_csv_escape(v) for v in row))
     else:
-        print(f"verdict: {_verdict_text(report.verdict)}")
-        print("the verdict does not assert non-freeness, only that some")
-        print("hypothesis could not be verified")
-    if report.facts:
-        print("facts:")
-        for key, value in report.facts.items():
-            print(f"  {key} = {value}")
-    if report.reasons:
-        print("reasons:")
-        for reason in report.reasons:
-            print(f"  - {reason}")
+        for line in lines:
+            print(line)
+    return EXIT_OK
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -100,62 +68,55 @@ def _cmd_check(args: argparse.Namespace) -> int:
         for violation in report.invalid:
             print(f"error: {violation}", file=sys.stderr)
         return EXIT_USAGE
-    _render_check(report, args.format)
-    return EXIT_OK
+    rows: list[list[Any]] = [["key", "value"]]
+    rows += [["p", report.p], ["q", report.q], ["d", report.d]]
+    rows += [["verdict", report.verdict], ["rank", report.rank], ["mode", report.mode]]
+    rows += [[f"facts.{k}", v] for k, v in report.facts.items()]
+    rows += [["reason", r] for r in report.reasons]
+    field = f"Q(sqrt({report.p * report.q}), sqrt({-report.d}))"
+    lines = [f"field {field} with p={report.p} q={report.q} d={report.d}"]
+    if report.verdict == CERTIFIED_FREE:
+        lines.append(f"verdict: {_verdict_text(report.verdict)} (rank {report.rank})")
+    else:
+        lines.append(f"verdict: {_verdict_text(report.verdict)}")
+        lines.append("the verdict does not assert non-freeness, only that some")
+        lines.append("hypothesis could not be verified")
+    if report.facts:
+        lines += ["facts:"] + [f"  {key} = {value}" for key, value in report.facts.items()]
+    if report.reasons:
+        lines += ["reasons:"] + [f"  - {reason}" for reason in report.reasons]
+    return _emit(args.format, report.to_dict(), rows, lines)
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     qs = scan_q(args.p, args.d, args.q_max, cache=args.cache, jobs=args.jobs)
-    if args.format == "json":
-        _dump_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "tool_version": __version__,
-                "p": args.p,
-                "d": args.d,
-                "q_max": args.q_max,
-                "certified_q": qs,
-            }
-        )
-    elif args.format == "csv":
-        _print_csv([["p", "d", "q"]] + [[args.p, args.d, q] for q in qs])
-    else:
-        print(f"p={args.p} d={args.d} q_max={args.q_max}")
-        print(" ".join(str(q) for q in qs))
-    return EXIT_OK
+    payload = {"p": args.p, "d": args.d, "q_max": args.q_max, "certified_q": qs}
+    rows = [["p", "d", "q"]] + [[args.p, args.d, q] for q in qs]
+    lines = [f"p={args.p} d={args.d} q_max={args.q_max}", " ".join(str(q) for q in qs)]
+    return _emit(args.format, payload, rows, lines)
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
     p_list = _parse_p_list(args.p_list)
-    rows = reproduce_table(p_list, args.q_max, args.d, jobs=args.jobs)
-    if args.format == "json":
-        _dump_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "tool_version": __version__,
-                "d": args.d,
-                "q_max": args.q_max,
-                "rows": [
-                    {"p": r.p, "certified_q": list(r.certified), "error": r.error}
-                    for r in rows
-                ],
-            }
-        )
-    elif args.format == "csv":
-        data: list[list[Any]] = [["p", "d", "q"]]
-        for r in rows:
+    table = reproduce_table(p_list, args.q_max, args.d, jobs=args.jobs)
+    payload = {
+        "d": args.d,
+        "q_max": args.q_max,
+        "rows": [{"p": r.p, "certified_q": list(r.certified), "error": r.error} for r in table],
+    }
+    # an error row certifies nothing: CSV leaves it out and names it on stderr
+    rows = [["p", "d", "q"]] + [[r.p, args.d, q] for r in table for q in r.certified]
+    lines = [
+        f"p={r.p}: error: {r.error}"
+        if r.error is not None
+        else f"p={r.p}: " + " ".join(str(q) for q in r.certified)
+        for r in table
+    ]
+    if args.format == "csv":
+        for r in table:
             if r.error is not None:
                 print(f"error: p={r.p}: {r.error}", file=sys.stderr)
-                continue
-            data += [[r.p, args.d, q] for q in r.certified]
-        _print_csv(data)
-    else:
-        for r in rows:
-            if r.error is not None:
-                print(f"p={r.p}: error: {r.error}")
-            else:
-                print(f"p={r.p}: " + " ".join(str(q) for q in r.certified))
-    return EXIT_OK
+    return _emit(args.format, payload, rows, lines)
 
 
 def _parse_p_list(raw: str) -> list[int]:
@@ -172,89 +133,39 @@ def _cmd_quad_unit(args: argparse.Namespace) -> int:
     field = make_field(args.m)
     fu = fundamental_unit(field)
     e = fu.elem
-    if args.format == "json":
-        _dump_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "tool_version": __version__,
-                "m": field.m,
-                "x": e.x,
-                "y": e.y,
-                "den": e.den,
-                "norm": fu.unit_norm,
-            }
-        )
-    elif args.format == "csv":
-        _print_csv([["m", "x", "y", "den", "norm"], [field.m, e.x, e.y, e.den, fu.unit_norm]])
-    else:
-        print(f"{e}, norm {fu.unit_norm:+d}")
-    return EXIT_OK
+    payload = {"m": field.m, "x": e.x, "y": e.y, "den": e.den, "norm": fu.unit_norm}
+    rows = [list(payload), list(payload.values())]
+    return _emit(args.format, payload, rows, [f"{e}, norm {fu.unit_norm:+d}"])
 
 
 def _cmd_quad_classno(args: argparse.Namespace) -> int:
-    disc = args.disc
-    result = h_imaginary(disc) if disc < 0 else h_plus_real(disc)
-    if args.format == "json":
-        _dump_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "tool_version": __version__,
-                "disc": result.disc,
-                "h": result.h,
-                "h_plus": result.h_plus,
-                "method": result.method,
-            }
-        )
-    elif args.format == "csv":
-        _print_csv(
-            [
-                ["disc", "h", "h_plus", "method"],
-                [result.disc, result.h, "" if result.h_plus is None else result.h_plus, result.method],
-            ]
-        )
-    elif result.h_plus is None:
-        print(f"disc {result.disc}: h = {result.h} ({result.method})")
+    result = h_imaginary(args.disc) if args.disc < 0 else h_plus_real(args.disc)
+    disc, h, h_plus, method = result.disc, result.h, result.h_plus, result.method
+    payload = {"disc": disc, "h": h, "h_plus": h_plus, "method": method}
+    rows = [list(payload), [disc, h, "" if h_plus is None else h_plus, method]]
+    if h_plus is None:
+        line = f"disc {disc}: h = {h} ({method})"
     else:
-        print(f"disc {result.disc}: h+ = {result.h_plus}, h = {result.h} ({result.method})")
-    return EXIT_OK
-
-
-def _render_prat(report: PRationalityReport, fmt: str) -> None:
-    if fmt == "json":
-        _dump_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "tool_version": __version__,
-                "field": report.field_desc,
-                "radicands": list(report.radicands),
-                "p": report.p,
-                "checks": [
-                    {"name": c.name, "value": c.value, "passed": c.passed}
-                    for c in report.checks
-                ],
-                "verdict": report.verdict,
-            }
-        )
-        return
-    if fmt == "csv":
-        rows: list[list[Any]] = [["name", "value", "passed"]]
-        rows += [[c.name, c.value, c.passed] for c in report.checks]
-        rows.append(["p_rational", "", report.verdict])
-        _print_csv(rows)
-        return
-    print(f"field {report.field_desc}, p = {report.p}")
-    for c in report.checks:
-        print(f"  {c.name} = {c.value} ({'pass' if c.passed else 'fail'})")
-    print(f"p-rational: {'yes' if report.verdict else 'no'}")
+        line = f"disc {disc}: h+ = {h_plus}, h = {h} ({method})"
+    return _emit(args.format, payload, rows, [line])
 
 
 def _cmd_quad_prat(args: argparse.Namespace) -> int:
-    if args.m < 0:
-        report = prat_imag(-args.m, args.p)
-    else:
-        report = prat_real(args.m, args.p)
-    _render_prat(report, args.format)
-    return EXIT_OK
+    report = prat_imag(-args.m, args.p) if args.m < 0 else prat_real(args.m, args.p)
+    payload = {
+        "field": report.field_desc,
+        "radicands": list(report.radicands),
+        "p": report.p,
+        "checks": [{"name": c.name, "value": c.value, "passed": c.passed} for c in report.checks],
+        "verdict": report.verdict,
+    }
+    rows: list[list[Any]] = [["name", "value", "passed"]]
+    rows += [[c.name, c.value, c.passed] for c in report.checks]
+    rows.append(["p_rational", "", report.verdict])
+    lines = [f"field {report.field_desc}, p = {report.p}"]
+    lines += [f"  {c.name} = {c.value} ({'pass' if c.passed else 'fail'})" for c in report.checks]
+    lines.append(f"p-rational: {'yes' if report.verdict else 'no'}")
+    return _emit(args.format, payload, rows, lines)
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ._version import __version__
-from .arith import factor, is_prime, kronecker, mult_order
+from .arith import _PRIME_BOUND, factor, is_prime, kronecker, mult_order, padic_valuation
 from .classno import h_imaginary, h_plus_real
 from .localfield import (
     LocalContext,
@@ -35,7 +35,6 @@ from .quadratic import (
     fundamental_unit,
     fundamental_unit_mod,
     make_field,
-    ramified_valuation,
     unit_sq_minus_one_valuation,
 )
 
@@ -81,10 +80,6 @@ class FamilyParams:
     p: int
     q: int
     d: int
-
-
-# is_prime is proven deterministic below this bound and refuses larger input
-_PRIME_BOUND = 1 << 64
 
 
 def family_violations(p: int, q: int, d: int) -> list[str]:
@@ -415,9 +410,11 @@ def _unit_facts(p: int, q: int, field: QuadField, elem: QuadElem | None) -> dict
         raise ValueError("the unit lives in the wrong field")
     else:
         x, y, den = elem.x, elem.y, elem.den
-        facts = {"mode": "exact", "unit_norm": elem.norm(), "unit": str(elem)}
-        w = elem * elem - 1
-        v_p, v_q = ramified_valuation(w, p), ramified_valuation(w, q)
+        norm, t = elem.norm(), elem.trace()
+        facts = {"mode": "exact", "unit_norm": norm, "unit": str(elem)}
+        # v(u^2 - 1) above a ramified ell is that of N(u^2 - 1) = 2 + 2N(u) - T(u)^2
+        w = 2 + 2 * norm - t * t
+        v_p, v_q = padic_valuation(w, p)[0], padic_valuation(w, q)[0]
     ctx = classify_splitting(field, p)
     facts["unit_pth_power_at_p"] = _pth_power_flags(x, y, den, ctx)[0]
     facts["v_p_val"] = v_p

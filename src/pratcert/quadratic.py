@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .arith import factor, is_prime, padic_valuation, unlimited_int_digits
+from .arith import factor, unlimited_int_digits
 
 __all__ = [
     "GE3",
@@ -39,7 +39,6 @@ __all__ = [
     "fundamental_unit",
     "fundamental_unit_mod",
     "make_field",
-    "ramified_valuation",
     "unit_norm_sign",
     "unit_sq_minus_one_valuation",
 ]
@@ -284,22 +283,6 @@ def fundamental_unit_mod(field: QuadField, modulus: int) -> tuple[int, int, int]
         return t * half % modulus, k * half % modulus, norm
     # disc = 4m: P0 and t are even and eps = t/2 + k sqrt(m)
     return t // 2 % modulus, k, norm
-
-
-def ramified_valuation(e: QuadElem, ell: int) -> int:
-    """Valuation of e at the unique prime above an odd ramified prime ell.
-
-    Computed as the ell-adic valuation of N(e); see docs/algorithms.md for
-    why the two agree.
-    """
-    if ell == 2 or not is_prime(ell):
-        raise ValueError("ell must be an odd prime")
-    if e.field.disc % ell != 0:
-        raise ValueError("ell must divide the field discriminant")
-    n = e.norm()
-    if n == 0:
-        raise ValueError("the zero element has no finite valuation")
-    return padic_valuation(n, ell)[0]
 
 
 def unit_sq_minus_one_valuation(trace: int, unit_norm: int, ell: int) -> int | str:

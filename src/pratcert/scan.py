@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 from ._version import __version__
-from .arith import is_prime, kronecker
+from .arith import _PRIME_BOUND, is_prime, kronecker
 from .criteria import (
     CERTIFIED_FREE,
     NOT_CERTIFIED,
@@ -190,7 +190,7 @@ def _require_scan_bounds(d: int, q_max: int, jobs: int) -> None:
     for name, value in (("d", d), ("q_max", q_max), ("jobs", jobs)):
         if type(value) is not int:
             raise ValueError(f"{name} must be an integer")
-    if not 0 <= q_max < 1 << 64:
+    if not 0 <= q_max < _PRIME_BOUND:
         raise ValueError("q_max must be >= 0 and below 2^64")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")

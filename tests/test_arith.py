@@ -121,7 +121,7 @@ def test_factor_examples():
     f = factor(168)
     assert f.factors == ((2, 3), (3, 1), (7, 1))
     assert f.sign == 1
-    assert f.value() == 168
+    assert f.sign * f.n == 168
     assert factor(-3146).factors == ((2, 1), (11, 2), (13, 1))
     assert factor(-3146).sign == -1
     assert factor(1).factors == ()
@@ -134,7 +134,7 @@ def test_factor_round_trip_random():
         if rng.random() < 0.5:
             n = -n
         f = factor(n)
-        assert f.value() == n
+        assert f.sign * f.n == n
         assert dict(f.factors) == brute_factor(n)
 
 
@@ -220,7 +220,7 @@ def test_factor_equals_the_checked_construction():
     for n in ns:
         got = factor(n)
         assert got == Factorization(n=got.n, sign=got.sign, factors=got.factors), n
-        assert got.value() == n, n
+        assert got.sign * got.n == n, n
 
 
 def test_squarefree_helpers():

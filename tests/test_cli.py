@@ -4,10 +4,18 @@ from __future__ import annotations
 
 import json
 import sys
+from pathlib import Path
+
+import pytest
 
 from pratcert._version import __version__
 from pratcert.cli import EXIT_OK, EXIT_USAGE, main
 from pratcert.criteria import FreenessReport, certify_freeness
+
+ROOT = Path(__file__).resolve().parent.parent
+# stdout, stderr and exit code of every subcommand in every format, recorded
+# from the command line as it was when the renderers were merged into one
+TRANSCRIPT = json.loads((ROOT / "tests" / "data" / "cli_transcript.json").read_text("utf-8"))
 
 
 def run(capsys, argv: list[str]) -> tuple[int, str, str]:
@@ -273,3 +281,87 @@ def test_version_flag(capsys) -> None:
     code, out, _ = run(capsys, ["--version"])
     assert code == EXIT_OK
     assert out == f"pratcert {__version__}\n"
+
+
+@pytest.mark.parametrize("entry", TRANSCRIPT, ids=[entry["argv"] for entry in TRANSCRIPT])
+def test_transcript_is_byte_identical(capsys, entry) -> None:
+    code, out, err = run(capsys, entry["argv"].split())
+    assert (out, err, code) == (entry["stdout"], entry["stderr"], entry["exit"])
+
+
+def test_transcript_covers_every_subcommand_in_every_format() -> None:
+    covered = {
+        (tuple(argv[: 2 if argv[0] == "quad" else 1]), argv[-1])
+        for argv in (entry["argv"].split() for entry in TRANSCRIPT)
+    }
+    commands = [("check",), ("scan",), ("table",)]
+    commands += [("quad", sub) for sub in ("unit", "classno", "prat")]
+    assert covered == {(cmd, fmt) for cmd in commands for fmt in ("text", "json", "csv")}
+
+
+def _readme_examples() -> list[tuple[list[str], list[str]]]:
+    # every "$ pratcert ..." line inside a fenced block of README.md, with the
+    # lines shown under it up to the next "$" line or the end of the block
+    examples: list[tuple[list[str], list[str]]] = []
+    shown: list[str] | None = None
+    for line in (ROOT / "README.md").read_text("utf-8").splitlines():
+        if line.startswith("```"):
+            shown = [] if shown is None else None
+        elif shown is not None and line.startswith("$ pratcert "):
+            shown = []
+            examples.append((line.split()[2:], shown))
+        elif shown is not None:
+            shown.append(line)
+    return [(argv, "\n".join(lines).rstrip("\n").split("\n")) for argv, lines in examples]
+
+
+def _shows(shown: list[str], actual: list[str]) -> bool:
+    # a "..." line stands for any run of lines; every other shown line
+    # matches one actual line, in order, from the first line to the last
+    segments: list[list[str]] = [[]]
+    for line in shown:
+        if line.strip() == "...":
+            segments.append([])
+        else:
+            segments[-1].append(line)
+    if len(segments) == 1:
+        return actual == shown
+    first, *middle, last = segments
+    start, end = len(first), len(actual) - len(last)
+    if start > end or actual[:start] != first or actual[end:] != last:
+        return False
+    for segment in middle:
+        while actual[start : start + len(segment)] != segment:
+            if start + len(segment) >= end:
+                return False
+            start += 1
+        start += len(segment)
+    return start <= end
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_has_an_example_for_every_command() -> None:
+    assert len(README_EXAMPLES) == 8
+    assert {argv[0] for argv, _ in README_EXAMPLES} == {"check", "scan", "table", "quad"}
+
+
+@pytest.mark.parametrize(
+    "argv, shown", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES]
+)
+def test_readme_example_output_matches(capsys, argv, shown) -> None:
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert _shows(shown, out.splitlines()), out
+
+
+def test_readme_matcher_treats_dots_as_any_run_of_lines() -> None:
+    actual = ["a", "b", "c", "d"]
+    assert _shows(["a", "...", "d"], actual)
+    assert _shows(["a", "b", "...", "c", "d"], actual)
+    assert _shows(["...", "c", "..."], actual)
+    assert not _shows(["a", "c", "d"], actual)
+    assert not _shows(["a", "...", "c"], actual)
+    assert not _shows(["a", "...", "e", "...", "d"], actual)
+    assert not _shows(["a", "b", "c"], actual)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from pratcert.arith import is_prime, padic_valuation
 from pratcert.criteria import (
     CERTIFIED_FREE,
     NOT_CERTIFIED,
@@ -147,6 +148,25 @@ def test_summand_norm_decomposition_feeding_the_valuations():
     # v_13(-3146) = 1 and v_7(3150) = 1 force v(eps**2 - 1) = 1 at both places
     assert (-3146) % 13 == 0 and (-3146) % 169 != 0
     assert 3150 % 7 == 0 and 3150 % 49 != 0
+
+
+def test_exact_unit_valuations_are_those_of_the_norm_of_eps_squared_minus_one():
+    # the exact facts read v(eps**2 - 1) from the trace identity; the direct
+    # route squares the unit and takes the valuation of the norm
+    high = halves = 0
+    for p in (5, 7, 11, 13):
+        for q in range(p - 1, 4000, p):
+            if not is_prime(q):
+                continue
+            field = make_field(p * q)
+            eps = fundamental_unit(field).elem
+            halves += eps.den == 2
+            facts = _unit_facts(p, q, field, eps)
+            norm = (eps * eps - 1).norm()
+            for ell, key in ((p, "v_p_val"), (q, "v_q_val")):
+                assert facts[key] == padic_valuation(norm, ell)[0], (p, q, ell)
+                high += facts[key] >= 3
+    assert high >= 20 and halves >= 20
 
 
 def test_certify_golden_exact_facts():

@@ -10,6 +10,7 @@ from math import isqrt
 import pytest
 
 from pratcert import quadratic
+from pratcert.arith import padic_valuation
 from pratcert.quadratic import (
     GE3,
     FundUnit,
@@ -18,7 +19,6 @@ from pratcert.quadratic import (
     fundamental_unit,
     fundamental_unit_mod,
     make_field,
-    ramified_valuation,
     unit_norm_sign,
     unit_sq_minus_one_valuation,
 )
@@ -291,40 +291,6 @@ def test_norm_shift_identities_for_units():
         assert (e * e - 1).norm() == (e - 1).norm() * (e + 1).norm()
 
 
-def test_ramified_valuation_examples():
-    f = make_field(91)
-    eps = fundamental_unit(f).elem
-    w = eps * eps - 1
-    assert ramified_valuation(w, 7) == 1
-    assert ramified_valuation(w, 13) == 1
-    assert ramified_valuation(QuadElem(f, 0, 1), 7) == 1
-
-
-def test_ramified_valuation_rejects_bad_primes():
-    f = make_field(91)
-    e = QuadElem(f, 1, 1)
-    with pytest.raises(ValueError):
-        ramified_valuation(e, 2)
-    with pytest.raises(ValueError):
-        ramified_valuation(e, 5)
-    with pytest.raises(ValueError):
-        ramified_valuation(QuadElem(f, 0, 0), 7)
-
-
-def test_ramified_valuation_is_additive():
-    rng = random.Random(13)
-    f = make_field(91)
-    for ell in (7, 13):
-        for _ in range(100):
-            a = QuadElem(f, rng.randrange(-40, 41), rng.randrange(-40, 41))
-            b = QuadElem(f, rng.randrange(-40, 41), rng.randrange(-40, 41))
-            if a.norm() == 0 or b.norm() == 0:
-                continue
-            assert ramified_valuation(a * b, ell) == ramified_valuation(
-                a, ell
-            ) + ramified_valuation(b, ell)
-
-
 def test_reduced_unit_path_matches_exact_unit():
     # the scan path reduces convergents; coordinates must agree mod the modulus
     for m in (91, 14, 95, 119):
@@ -371,7 +337,7 @@ def test_unit_sq_valuation_from_trace_agrees_with_exact():
         for ell in ells:
             if ell == 2:
                 continue
-            exact = ramified_valuation(w, ell)
+            exact = padic_valuation(w.norm(), ell)[0]
             reduced = unit_sq_minus_one_valuation(
                 fu.elem.trace() % ell**3, fu.unit_norm, ell
             )
@@ -387,7 +353,7 @@ def test_unit_sq_valuation_frozen_cases():
     # m = 115: eps = 1126 + 105*sqrt(115), 5 divides y, so v at 5 is 3
     fu = fundamental_unit(make_field(115))
     assert (fu.elem.x, fu.elem.y) == (1126, 105)
-    assert ramified_valuation(fu.elem * fu.elem - 1, 5) == 3
+    assert padic_valuation((fu.elem * fu.elem - 1).norm(), 5)[0] == 3
     assert unit_sq_minus_one_valuation(2252, 1, 5) == GE3
     with pytest.raises(ValueError):
         unit_sq_minus_one_valuation(10, 2, 5)
