@@ -8,12 +8,15 @@ forms.  Below sqrt|D|/2 the forms with leading coefficient a are the N(a)
 root classes, summed from the table; above, the forms are built by CRT for
 only the a with N(a) > 0.  Real fields: walk the rho-cycles of reduced
 indefinite forms up to sign, started only at the root classes of the a <=
-sqrt(D)/2 with N(a) > 0, until they have visited every such form, counted
-from the same table beforehand.  The wide h is the number of these cycles;
-the parity of the principal one is that of the unit's continued-fraction
-period, which gives the narrow h+.  Everything here is integer arithmetic;
-the analytic class number formulas that cross-examine these counts live in
-the test suite (tests/_oracles.py).
+sqrt(D)/2 with N(a) > 0, until they have covered every such form, counted
+from the same table beforehand.  The mirror (a, b, c) -> (c, b, a) reverses
+the cycles, so a cycle that is its own mirror is walked only between its
+two centres, and one that is not is walked once and counted with its
+mirror.  The wide h is the number of these cycles; the parity of the
+principal one is that of the unit's continued-fraction period, which gives
+the narrow h+.  Everything here is integer arithmetic; the analytic class
+number formulas that cross-examine these counts live in the test suite
+(tests/_oracles.py).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from itertools import compress
 from math import isqrt
 from typing import Iterator
 
-from .arith import _PRIME_BOUND, factor, sqrt_mod_prime_power
+from .arith import _PRIME_BOUND, _tonelli_shanks, factor, sqrt_mod_prime_power
 
 __all__ = [
     "ClassNumberResult",
@@ -66,6 +69,8 @@ def _require_fundamental(disc: int) -> None:
 # split prime to every other exponent
 _DEAD = 255
 _ONE_MORE = bytes([*range(1, 255), _DEAD, _DEAD])
+# the map that marks the n with N(n) > 0
+_LIVE = bytes([1]) * _DEAD + bytes(1)
 
 
 class _RootTable:
@@ -75,9 +80,10 @@ class _RootTable:
     (disc/l) = -1 divides n, or l^2 divides n for a prime l dividing disc;
     otherwise it is 2^k, k the number of primes with (disc/l) = 1 dividing
     n.  The table keeps k, or _DEAD for 0, in one byte per odd n, sieved
-    prime by prime.  For a = 2^e n, N(a) = two_adic[e] * N(n), two_adic[e]
-    the number of roots b mod 2^(e+1) of b^2 = disc (mod 2^(e+2))
-    (docs/algorithms.md, section 3.1).
+    prime by prime; a prime above top / 3 sets only its own byte.  For
+    a = 2^e n, N(a) = two_adic[e] * N(n), two_adic[e] the number of roots
+    b mod 2^(e+1) of b^2 = disc (mod 2^(e+2)) (docs/algorithms.md,
+    section 3.1).
     """
 
     __slots__ = ("disc", "exps", "two_adic", "small", "_roots")
@@ -94,9 +100,12 @@ class _RootTable:
                 prime[n * n // 2 :: n] = bytes(len(range(n * n // 2, half, n)))
         exps = bytearray(half)
         dead = bytes([_DEAD])
+        odd = range(1, top + 1, 2)
+        # the odd n above top // 3 start at index cut
+        cut = (top // 3 + 1) // 2
         # the odd primes up to sqrt(top) that can divide an a with N(a) > 0
         small: list[int] = []
-        for l in compress(range(1, top + 1, 2), prime):
+        for l in compress(odd[:cut], prime[:cut]):
             r = disc % l
             if r and pow(r, l >> 1, l) != 1:
                 # (disc/l) = -1: no odd multiple of l has a root
@@ -109,6 +118,11 @@ class _RootTable:
                 exps[l * l >> 1 :: l * l] = dead * len(range(l * l >> 1, half, l * l))
             if l * l <= top:
                 small.append(l)
+        for l in compress(odd[cut:], prime[cut:]):
+            # 3l > top: l is the only odd multiple of l, and l^2 > top
+            r = disc % l
+            if r:
+                exps[l >> 1] = 1 if pow(r, l >> 1, l) == 1 else _DEAD
         self.disc, self.exps, self.small = disc, exps, small
         # modulus -> the roots of disc modulo it
         self._roots: dict[int, list[int]] = {}
@@ -119,12 +133,6 @@ class _RootTable:
                 # a root mod 2^(e+3) reduces to one mod 2^(e+2): none beyond
                 break
             self.two_adic.append(t)
-
-    def classes(self, a: int) -> int:
-        """N(a), for 1 <= a <= top."""
-        e = (a & -a).bit_length() - 1
-        k = self.exps[a >> (e + 1)]
-        return 0 if e >= len(self.two_adic) or k == _DEAD else self.two_adic[e] << k
 
     def count(self, x: int) -> int:
         """The sum of N(a) over 1 <= a <= x <= top, without a root.
@@ -143,8 +151,19 @@ class _RootTable:
         return total
 
     def rooted(self, lo: int, hi: int) -> Iterator[int]:
-        """The a in [lo, hi] with N(a) > 0, increasing; hi <= top."""
-        return (a for a in range(lo, hi + 1) if self.classes(a))
+        """The a in [lo, hi] with N(a) > 0, increasing; 1 <= lo, hi <= top.
+
+        One byte per a in [lo, hi], 1 where N(a) > 0, selects them in C: for
+        each e with two_adic[e] > 0, the odd n in [ceil(lo / 2^e), hi >> e],
+        at indices i to j of exps, give the bytes of a = 2^e n, read as 0 for
+        _DEAD and 1 otherwise; every other a keeps 0.
+        """
+        mask = bytearray(max(hi - lo + 1, 0))
+        for e in range(len(self.two_adic)):
+            i, j = ((lo + (1 << e) - 1) >> e) // 2, ((hi >> e) + 1) // 2
+            if i < j:
+                mask[((2 * i + 1) << e) - lo :: 2 << e] = self.exps[i:j].translate(_LIVE)
+        return compress(range(lo, hi + 1), mask)
 
     def residues(self, a: int) -> list[int]:
         """The N(a) classes b mod 2a with b^2 = disc (mod 4a), for N(a) > 0.
@@ -177,7 +196,13 @@ class _RootTable:
         q = l**k if l > 2 else 2 ** (k - 1)
         roots = self._roots.get(q)
         if roots is None:
-            roots = sorted({y % q for y in sqrt_mod_prime_power(self.disc, l, k)})
+            if k == 1 and l > 2 and self.disc % l:
+                # l divides an a with N(a) > 0, so the table has proved
+                # (disc/l) = 1: the roots are +-y
+                y = _tonelli_shanks(self.disc, l)
+                roots = [y, l - y] if 2 * y < l else [l - y, y]
+            else:
+                roots = sorted({y % q for y in sqrt_mod_prime_power(self.disc, l, k)})
             self._roots[q] = roots
         return roots
 
@@ -257,6 +282,36 @@ def reduced_indefinite_forms(disc: int) -> set[tuple[int, int, int]]:
     return forms
 
 
+def _walk(
+    disc: int, head: int, a0: int, b0: int, c0: int, seen: set[tuple[int, int]]
+) -> tuple[int, int, bool]:
+    """Walk the sign-free rho-cycle of (a0, b0, c0) up to its next centre.
+
+    Each walked form adds its key (b, min(a, c)) to seen and counts for
+    itself and its mirror (c, b, a): its head forms, (a <= head) + (c <= head),
+    and two half steps of the cycle's length; a node centre (a == c) is its
+    own mirror and counts once.  The walk stops after a node centre, before
+    an edge centre (a step that keeps b), or on returning to (a0, b0), and
+    returns the head forms, the half steps and whether it returned.
+    """
+    s = isqrt(disc)
+    covered = length = 0
+    a, b, c = a0, b0, c0
+    while True:
+        if a == c:
+            seen.add((b, a))
+            return covered + (a <= head), length + 1, False
+        seen.add((b, a if a < c else c))
+        covered += (a <= head) + (c <= head)
+        length += 2
+        nb = s - (s + b) % (2 * c)
+        if nb == b:
+            return covered, length, False
+        a, b, c = c, nb, (disc - nb * nb) // (4 * c)
+        if a == a0 and b == b0:
+            return covered, length, True
+
+
 def h_plus_real(disc: int) -> ClassNumberResult:
     """Narrow and wide class numbers of a real quadratic field.
 
@@ -268,10 +323,20 @@ def h_plus_real(disc: int) -> ClassNumberResult:
     number of sign-free cycles, and h+ is h or 2h.  Every cycle holds a
     positive reduced form with a <= head = (2s + 1) // 4, so the walks
     start only at those: at each a <= head with N(a) > 0 of a root table
-    built up to head, one b in (s - 2a, s] per root class.  A walk closes
-    when it returns to its start, only head forms are remembered, and the
-    walks stop once they have visited every head form, counted from the
-    same table beforehand (docs/algorithms.md, section 3.3).
+    built up to head, one b in (s - 2a, s] per root class.
+
+    The mirror sigma(a, b, c) = (c, b, a) satisfies sigma rho sigma =
+    rho^-1.  A cycle that is its own mirror has two centres, half its
+    length apart: a form with a == c, or a step that keeps b.  Its walk
+    goes forward from the start to one centre and, from the start's mirror,
+    over the mirrors of the forms behind the start to the other, so half
+    the cycle is walked, each form standing for itself and its mirror.  A
+    walk that meets no centre returns to its start: the cycle's mirror is
+    another cycle of the same length, counted with it.  Each walked form
+    leaves one key (b, min(a, c)) for itself and its mirror, a start whose
+    key is known is skipped, and the walks stop once they have covered
+    every head form, counted from the same table beforehand
+    (docs/algorithms.md, section 3.3).
     """
     if disc <= 0:
         raise ValueError("disc must be positive")
@@ -284,27 +349,35 @@ def h_plus_real(disc: int) -> ClassNumberResult:
     starts = (
         (a, s - (s - r) % (2 * a)) for a in table.rooted(1, head) for r in table.residues(a)
     )
-    # the visited forms with a <= head, the only ones a start can meet
+    # one key (b, min(a, c)) per walked form, for it and its mirror (c, b, a):
+    # every reduced form has min(a, c) <= head, so a start's key is here
+    # once its cycle, or that cycle's mirror, has been walked
     seen: set[tuple[int, int]] = set()
     counted = cycles = 0
     for a0, b0 in starts:
-        if (a0, b0) in seen:
+        c0 = (disc - b0 * b0) // (4 * a0)
+        if (b0, a0 if a0 < c0 else c0) in seen:
             continue
-        a, b, c, length = a0, b0, (disc - b0 * b0) // (4 * a0), 0
-        while True:
-            if a <= head:
-                seen.add((a, b))
-                counted += 1
-            length += 1
-            b = s - (s + b) % (2 * c)
-            a, c = c, (disc - b * b) // (4 * c)
-            if a == a0 and b == b0:
-                break
+        # forward from the start to a centre, or round to the start
+        covered, length, closed = _walk(disc, head, a0, b0, c0, seen)
+        if closed:
+            # no centre: the mirror is another cycle of the same length
+            mirrors, length = 2, length // 2
+        else:
+            # back from the start to the other centre: rho steps from the
+            # start's mirror (c0, b0, a0) walk the mirrors of the forms behind
+            # it; the first is an edge centre when rho^-1 keeps b0
+            mirrors = 1
+            b = s - (s + b0) % (2 * a0)
+            if b != b0:
+                more, back, _ = _walk(disc, head, a0, b, (disc - b * b) // (4 * a0), seen)
+                covered, length = covered + more, length + back
         if not cycles:
             odd = length % 2
         elif length % 2 != odd:
             raise ArithmeticError("a rho-cycle's parity differs from the principal cycle's")
-        cycles += 1
+        cycles += mirrors
+        counted += covered
         if counted >= want:
             break
     if counted != want:

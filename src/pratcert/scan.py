@@ -123,15 +123,18 @@ def _worker(args: tuple[int, int, int]) -> ScanRecord:
 def _load_cache(path: str, p: int, d: int) -> dict[int, ScanRecord]:
     """Cached records for this (p, d) keyed by q.
 
-    Unreadable lines, and misjudged ones (whose verdict, rank or reasons
-    disagree with judge of their facts, or whose invalid list is not
-    family_violations of their (p, q, d)), warn and are skipped, so their
-    q is computed afresh.  judge takes an invalid list at its word, so only
-    a line that claims one is checked against the family conditions; a
-    certified q is guarded by _validate_emitted.
+    A JSON object whose p, d, schema_version or tool_version is not this
+    scan's is skipped before it is validated, silently.  Unreadable lines,
+    and misjudged ones (whose verdict, rank or reasons disagree with judge
+    of their facts, or whose invalid list is not family_violations of their
+    (p, q, d)), warn and are skipped, so their q is computed afresh.  judge
+    takes an invalid list at its word, so only a line that claims one is
+    checked against the family conditions; a certified q is guarded by
+    _validate_emitted.
     """
     records: dict[int, ScanRecord] = {}
     unreadable = misjudged = 0
+    ours = (SCHEMA_VERSION, __version__, p, d)
     try:
         fh = open(path, encoding="utf-8")
     except FileNotFoundError:
@@ -143,12 +146,14 @@ def _load_cache(path: str, p: int, d: int) -> dict[int, ScanRecord]:
             if not line.strip():
                 continue
             try:
-                rec = ScanRecord.from_json_obj(json.loads(line))
+                obj = json.loads(line)
+                if isinstance(obj, dict) and ours != tuple(
+                    obj.get(key) for key in ("schema_version", "tool_version", "p", "d")
+                ):
+                    continue
+                rec = ScanRecord.from_json_obj(obj)
             except ValueError:
                 unreadable += 1
-                continue
-            ours = (SCHEMA_VERSION, __version__, p, d)
-            if (rec.schema_version, rec.tool_version, rec.p, rec.d) != ours:
                 continue
             verdict, reasons = judge(p, rec.q, d, rec.facts)
             judged = (verdict, RANK[verdict], list(reasons))

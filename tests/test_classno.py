@@ -297,7 +297,7 @@ def test_root_class_count_at_high_powers_of_two():
             for k in (10, 14):
                 a = 2**k
                 n = table.count(a) - table.count(a - 1)
-                assert n == table.classes(a) == _brute_root_classes(disc, a), (disc, k)
+                assert n == _brute_root_classes(disc, a), (disc, k)
                 assert n == expected[disc % 16], (disc, k)
 
 
@@ -316,7 +316,8 @@ def test_root_table_filter_is_exact():
         a_max = _form_bound(disc)
         table = _RootTable(disc, a_max)
         brute = [_brute_root_classes(disc, a) for a in range(a_max + 1)]
-        assert [table.classes(a) for a in range(1, a_max + 1)] == brute[1:], disc
+        counts = [table.count(a) for a in range(a_max + 1)]
+        assert [counts[a] - counts[a - 1] for a in range(1, a_max + 1)] == brute[1:], disc
         assert list(table.rooted(1, a_max)) == [a for a in range(1, a_max + 1) if brute[a]]
         assert table.count(a_max) == sum(brute), disc
 
@@ -399,11 +400,81 @@ def test_h_plus_real_finds_cycles_beyond_a_equal_one():
         assert h_plus_real(disc).h_plus == len(cycles), disc
 
 
+def _sign_free_cycles(disc: int) -> list[tuple[int, bool, int, int]]:
+    # each sign-free cycle of brute_rho_cycles as (length, whether it is its
+    # own mirror under (a, b, c) -> (c, b, a), its node centres, a == c, and
+    # its edge centres, forms that rho maps to their mirror)
+    out = []
+    for cycle in {frozenset((abs(a), b, abs(c)) for a, b, c in C) for C in brute_rho_cycles(disc)}:
+        mirror = frozenset((c, b, a) for a, b, c in cycle)
+        nodes = sum(1 for a, _, c in cycle if a == c)
+        edges = sum(
+            1 for a, b, c in cycle if tuple(map(abs, _rho((a, b, -c), disc))) == (c, b, a)
+        )
+        out.append((len(cycle), mirror == cycle, nodes, edges))
+    return out
+
+
+def test_h_plus_real_walks_mirror_halves():
+    # the walk covers a self-mirror cycle from centre to centre and counts a
+    # cycle with no centre together with its mirror; the list holds each kind
+    discs = (5, 12, 136, 145, 229, 316, 505, 904, 940, 34689)
+    parities, shapes = set(), set()
+    for disc in discs:
+        cycles = _sign_free_cycles(disc)
+        for length, self_mirror, nodes, edges in cycles:
+            # a self-mirror cycle has two centres, a node or an edge each by
+            # the parity of its length; any other cycle has none
+            assert nodes + edges == (2 if self_mirror else 0), disc
+            if self_mirror:
+                assert nodes % 2 == length % 2, disc
+            parities.add(length % 2)
+            shapes.add((self_mirror, nodes, edges))
+        result = h_plus_real(disc)
+        assert result.h == len(cycles), disc
+        assert result.h_plus == brute_rho_cycle_count(disc), disc
+    assert parities == {0, 1}
+    # a wide class of order >= 3; a node and an edge; two nodes; two edges
+    assert shapes == {(False, 0, 0), (True, 1, 1), (True, 2, 0), (True, 0, 2)}
+
+
+def test_rooted_selects_the_a_with_root_classes():
+    # every window [lo, hi] of a small table: odd and even ends, a single a,
+    # empty windows, and tables with one to seven powers of two
+    top = 64
+    discs = _count_discs(-1)[:6] + _count_discs(1)[:6]
+    assert {len(_RootTable(disc, top).two_adic) for disc in discs} == {1, 2, 7}
+    for disc in discs:
+        table = _RootTable(disc, top)
+        live = [a for a in range(1, top + 1) if _brute_root_classes(disc, a)]
+        for lo in range(1, top + 1):
+            for hi in range(lo - 2, top + 1):
+                assert list(table.rooted(lo, hi)) == [a for a in live if lo <= a <= hi]
+
+
 def test_h_plus_real_refuses_a_total_the_cycles_do_not_cover(monkeypatch):
     count = _RootTable.count
     monkeypatch.setattr(_RootTable, "count", lambda self, x: count(self, x) + 1)
     for disc in (5, 12, 904, 34689):
         with pytest.raises(ArithmeticError):
+            h_plus_real(disc)
+
+
+def test_h_plus_real_refuses_cycles_of_unequal_parity(monkeypatch):
+    # one half step more on the principal walk flips its parity, and the
+    # next cycle's length disagrees with it
+    walk = classno._walk
+    calls: list[int] = []
+
+    def one_longer(*args):
+        covered, length, closed = walk(*args)
+        calls.append(length)
+        return covered, length + (len(calls) == 1), closed
+
+    monkeypatch.setattr(classno, "_walk", one_longer)
+    for disc in (136, 904, 34689):
+        calls.clear()
+        with pytest.raises(ArithmeticError, match="parity"):
             h_plus_real(disc)
 
 

@@ -279,6 +279,28 @@ def test_foreign_cache_lines_are_ignored(tmp_path) -> None:
     assert [(rec.p, rec.q, rec.d) for rec in records] == [(5, 19, 2)]
 
 
+def test_foreign_lines_are_skipped_before_validation(tmp_path, capsys) -> None:
+    # a malformed line of another (p, d) or version is skipped without a
+    # warning; a malformed line of this (p, d), or one that is no object,
+    # is still unreadable
+    record = record_for(5, 19, 2)
+    fresh = json.loads(record.to_json_line())
+    foreign = [
+        dict(fresh, p=7, verdict="maybe"),
+        dict(fresh, d=3, facts=[]),
+        dict(fresh, tool_version="0.0.0", rank="high"),
+        dict(fresh, schema_version=SCHEMA_VERSION + 1, q="19"),
+    ]
+    cache = tmp_path / "scan.jsonl"
+    cache.write_text("".join(json.dumps(obj) + "\n" for obj in foreign), encoding="utf-8")
+    assert scan_records(5, 2, 20, cache=str(cache)) == [record]
+    assert "warning" not in capsys.readouterr().err
+    ours = [dict(fresh, verdict="maybe"), [fresh], "19"]
+    cache.write_text("".join(json.dumps(obj) + "\n" for obj in ours), encoding="utf-8")
+    scan_records(5, 2, 20, cache=str(cache))
+    assert f"warning: skipped 3 unreadable cache line(s) in {cache}" in capsys.readouterr().err
+
+
 def test_unusable_cache_paths_raise(tmp_path) -> None:
     with pytest.raises(ValueError, match="cannot read cache file"):
         scan_records(5, 2, 20, cache=str(tmp_path))
