@@ -126,13 +126,10 @@ class _RootTable:
         self.disc, self.exps, self.small = disc, exps, small
         # modulus -> the roots of disc modulo it
         self._roots: dict[int, list[int]] = {}
-        self.two_adic: list[int] = []
-        for e in range(top.bit_length()):
-            t = len(self._roots_mod(2, e + 2))
-            if not t:
-                # a root mod 2^(e+3) reduces to one mod 2^(e+2): none beyond
-                break
-            self.two_adic.append(t)
+        # T_0 = 1, then T_e = 2 (disc = 1 mod 8), T_1 = 1 (disc even) or none
+        bits = top.bit_length()
+        tail = [2] * bits if disc % 8 == 1 else [] if disc % 2 else [1]
+        self.two_adic = ([1] + tail)[:bits]
 
     def count(self, x: int) -> int:
         """The sum of N(a) over 1 <= a <= x <= top, without a root.

@@ -1,9 +1,9 @@
 """Command line surface: certification checks, scans, table reproduction,
 and low-level quadratic-field utilities.
 
-Exit codes: 0 for answered queries (a NOT_CERTIFIED verdict is an answer),
-2 for invalid input, 1 for internal errors.  Output is deterministic: no
-timings, hostnames or worker counts ever reach stdout.
+Exit codes: 0 for answers (a NOT_CERTIFIED verdict, or a table row naming a
+refused p), 2 for invalid input, 1 for internal errors, in a table row too.
+Output is deterministic: no timings, hostnames or worker counts reach stdout.
 """
 
 from __future__ import annotations

@@ -126,51 +126,14 @@ class QuadElem:
         assert rem == 0
         return num
 
-    def inverse(self) -> "QuadElem":
-        n = self.norm()
-        if abs(n) != 1:
-            raise ValueError("only elements of norm +-1 have integral inverses")
-        return QuadElem(self.field, n * self.x, -n * self.y, self.den)
-
-    def __mul__(self, other: "QuadElem | int") -> "QuadElem":
-        if isinstance(other, int):
-            return QuadElem.make(self.field, self.x * other, self.y * other, self.den)
+    def __mul__(self, other: "QuadElem") -> "QuadElem":
+        # no verdict multiplies elements; bench/tests squares a unit with it
         if self.field != other.field:
             raise ValueError("elements live in different fields")
         m = self.field.m
         x = self.x * other.x + m * self.y * other.y
         y = self.x * other.y + self.y * other.x
         return QuadElem.make(self.field, x, y, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: "QuadElem | int") -> "QuadElem":
-        if isinstance(other, int):
-            return QuadElem.make(self.field, self.x + other * self.den, self.y, self.den)
-        if self.field != other.field:
-            raise ValueError("elements live in different fields")
-        if self.den == other.den:
-            return QuadElem.make(self.field, self.x + other.x, self.y + other.y, self.den)
-        a, b = (self, other) if self.den == 2 else (other, self)
-        return QuadElem.make(self.field, a.x + 2 * b.x, a.y + 2 * b.y, 2)
-
-    def __sub__(self, other: "QuadElem | int") -> "QuadElem":
-        return self + (-other)
-
-    def __neg__(self) -> "QuadElem":
-        return QuadElem(self.field, -self.x, -self.y, self.den)
-
-    def __pow__(self, e: int) -> "QuadElem":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = QuadElem(self.field, 1, 0)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def __str__(self) -> str:
         sign = "-" if self.y < 0 else "+"

@@ -282,15 +282,15 @@ class TableRow:
 def reproduce_table(
     p_list: list[int], q_max: int, d: int, *, jobs: int = 1
 ) -> list[TableRow]:
-    """One row per p; a failing row records its error without aborting the
-    rest, but a bad q_max or jobs, or a d that is not an integer, shared by
-    every row, raises ValueError."""
+    """One row per p; a refused p gets its ValueError as the row's error,
+    and the rest go on.  A bad q_max or jobs, or a d that is not an integer,
+    raises ValueError for the whole table; any other error propagates."""
     _require_scan_bounds(d, q_max, jobs)
     rows: list[TableRow] = []
     for p in p_list:
         try:
             qs = scan_q(p, d, q_max, jobs=jobs)
-        except Exception as exc:
+        except ValueError as exc:
             rows.append(
                 TableRow(p=p, certified=(), error=f"{type(exc).__name__}: {exc}")
             )

@@ -452,3 +452,23 @@ def pth_power_oracle(x: int, y: int, den: int, m: int, p: int) -> bool:
             if (wa - ta) % p2 == 0 and (wb - tb) % p == 0:
                 return True
     return False
+
+
+def unit_power(x: int, y: int, den: int, m: int, k: int) -> tuple[int, int, int]:
+    """((x + y sqrt m)/den)^k exactly, as (x, y, den) with den halved while
+    both coordinates are even, for den a power of 2.
+
+    The power is k plain multiplications of the coordinates; a negative k
+    first inverts u through u^-1 = N(u) conj(u), so N(u) must be +-1.
+    """
+    if k < 0:
+        norm, rem = divmod(x * x - m * y * y, den * den)
+        if rem or norm not in (-1, 1):
+            raise ValueError("only elements of norm +-1 have integral inverses")
+        x, y, k = norm * x, -norm * y, -k
+    px, py, pden = 1, 0, 1
+    for _ in range(k):
+        px, py, pden = px * x + m * py * y, px * y + py * x, pden * den
+    while pden > 1 and px % 2 == 0 and py % 2 == 0:
+        px, py, pden = px // 2, py // 2, pden // 2
+    return px, py, pden

@@ -118,6 +118,42 @@ def test_oracles_import_nothing_from_pratcert() -> None:
         assert not any(m.split(".")[0] == "pratcert" for m in modules), ast.unparse(node)
 
 
+# no verdict adds, multiplies or inverts elements: units are read through
+# coordinates, norm and trace, and tests build unit powers with
+# _oracles.unit_power; QuadElem.__mul__ stays while a benchmark test,
+# bench/tests/test_bench.py, squares a unit with it
+OPERATOR_HELD = {("quadratic", "QuadElem", "__mul__")}
+OPERATOR_METHODS = {
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__floordiv__", "__mod__", "__pow__", "__neg__", "__pos__",
+    "__abs__", "__invert__",
+}
+
+
+def _member_names(node: ast.ClassDef) -> set[str]:
+    # methods, and aliases such as __rmul__ = __mul__
+    names = set()
+    for item in node.body:
+        if isinstance(item, ast.FunctionDef):
+            names.add(item.name)
+        elif isinstance(item, ast.Assign):
+            names |= {target.id for target in item.targets if isinstance(target, ast.Name)}
+    return names
+
+
+def test_no_class_in_src_defines_arithmetic_operators() -> None:
+    # the reach check above skips names that start with "_", so an operator
+    # that only tests call would escape it
+    defined = {
+        (path.stem, node.name, name)
+        for path in SRC.glob("*.py")
+        for node in _nodes(path)
+        if isinstance(node, ast.ClassDef)
+        for name in _member_names(node) & OPERATOR_METHODS
+    }
+    assert defined == OPERATOR_HELD
+
+
 def test_src_has_no_floating_point() -> None:
     for path in SRC.glob("*.py"):
         for node in _nodes(path):

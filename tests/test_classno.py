@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pratcert import classno
-from pratcert.arith import factor, kronecker
+from pratcert.arith import factor, kronecker, sqrt_mod_prime_power
 from pratcert.classno import (
     _RootTable,
     h_imaginary,
@@ -450,6 +450,26 @@ def test_rooted_selects_the_a_with_root_classes():
         for lo in range(1, top + 1):
             for hi in range(lo - 2, top + 1):
                 assert list(table.rooted(lo, hi)) == [a for a in live if lo <= a <= hi]
+
+
+def test_two_adic_closed_form_matches_the_roots_mod_powers_of_two():
+    # T_e = #{b mod 2^(e+1) : b^2 = disc (mod 2^(e+2))} by square roots,
+    # searched e by e up to the first 0, against the table's closed form;
+    # top = isqrt|disc| caps the list at one to eight entries
+    checked = 0
+    for disc in range(-40000, 40000):
+        if not is_fundamental_disc(disc):
+            continue
+        top = isqrt(abs(disc))
+        searched = []
+        for e in range(top.bit_length()):
+            roots = {y % 2 ** (e + 1) for y in sqrt_mod_prime_power(disc, 2, e + 2)}
+            if not roots:
+                break
+            searched.append(len(roots))
+        assert _RootTable(disc, top).two_adic == searched, disc
+        checked += 1
+    assert checked == 24315
 
 
 def test_h_plus_real_refuses_a_total_the_cycles_do_not_cover(monkeypatch):

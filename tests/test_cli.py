@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from pratcert import scan
 from pratcert._version import __version__
-from pratcert.cli import EXIT_OK, EXIT_USAGE, main
+from pratcert.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from pratcert.criteria import FreenessReport, certify_freeness
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -102,29 +103,6 @@ def test_quad_unit_beyond_the_factor_limit_exits_usage(capsys) -> None:
     )
 
 
-def test_check_csv_has_key_value_rows(capsys) -> None:
-    code, out, _ = run(capsys, ["check", "--p", "7", "--q", "13", "--d", "2", "--format", "csv"])
-    assert code == EXIT_OK
-    lines = out.splitlines()
-    assert lines[0] == "key,value"
-    assert "p,7" in lines
-    assert "verdict,certified_free" in lines
-
-
-def test_quad_unit_formats(capsys) -> None:
-    code, out, _ = run(capsys, ["quad", "unit", "--m", "91"])
-    assert code == EXIT_OK
-    assert out == "1574 + 165*sqrt(91), norm +1\n"
-    _, out, _ = run(capsys, ["quad", "unit", "--m", "5"])
-    assert out == "(1 + 1*sqrt(5))/2, norm -1\n"
-    _, out, _ = run(capsys, ["quad", "unit", "--m", "91", "--format", "json"])
-    payload = json.loads(out)
-    assert (payload["m"], payload["x"], payload["y"]) == (91, 1574, 165)
-    assert (payload["den"], payload["norm"]) == (1, 1)
-    _, out, _ = run(capsys, ["quad", "unit", "--m", "91", "--format", "csv"])
-    assert out.splitlines() == ["m,x,y,den,norm", "91,1574,165,1,1"]
-
-
 def test_quad_unit_prints_units_beyond_the_digit_limit(capsys) -> None:
     # the unit has about 14100 digits, above the interpreter's default
     # 4300-digit limit on int <-> str conversion, which main lifts and restores
@@ -156,19 +134,6 @@ def test_quad_unit_rejects_bad_radicand(capsys) -> None:
     assert err.startswith("error: ")
 
 
-def test_quad_classno_formats(capsys) -> None:
-    code, out, _ = run(capsys, ["quad", "classno", "--disc", "-8"])
-    assert code == EXIT_OK
-    assert out == "disc -8: h = 1 (reduced-form count)\n"
-    _, out, _ = run(capsys, ["quad", "classno", "--disc", "12"])
-    assert out == "disc 12: h+ = 2, h = 1 (rho-cycle count)\n"
-    _, out, _ = run(capsys, ["quad", "classno", "--disc", "-8", "--format", "json"])
-    payload = json.loads(out)
-    assert (payload["disc"], payload["h"], payload["h_plus"]) == (-8, 1, None)
-    _, out, _ = run(capsys, ["quad", "classno", "--disc", "12", "--format", "csv"])
-    assert out.splitlines() == ["disc,h,h_plus,method", "12,1,2,rho-cycle count"]
-
-
 def test_quad_classno_rejects_non_fundamental(capsys) -> None:
     code, _, err = run(capsys, ["quad", "classno", "--disc", "0"])
     assert code == EXIT_USAGE
@@ -196,18 +161,12 @@ def test_quad_prat_real_json(capsys) -> None:
 
 
 def test_scan_formats(capsys) -> None:
+    # the transcript pins each format at one worker; two give the same bytes
     argv = ["scan", "--p", "7", "--d", "2", "--q-max", "500"]
-    code, out, _ = run(capsys, argv)
-    assert code == EXIT_OK
-    assert out.splitlines() == ["p=7 d=2 q_max=500", "13 167 181 223 461"]
-    _, jobs_out, _ = run(capsys, argv + ["--jobs", "2"])
-    assert jobs_out == out
-    _, json_out, _ = run(capsys, argv + ["--format", "json"])
-    payload = json.loads(json_out)
-    assert payload["certified_q"] == [13, 167, 181, 223, 461]
-    assert payload["tool_version"] == __version__
-    _, csv_out, _ = run(capsys, argv + ["--format", "csv"])
-    assert csv_out.splitlines()[:2] == ["p,d,q", "7,2,13"]
+    for fmt in ("text", "json", "csv"):
+        code, out, _ = run(capsys, argv + ["--format", fmt])
+        assert code == EXIT_OK
+        assert run(capsys, argv + ["--format", fmt, "--jobs", "2"]) == (code, out, "")
 
 
 def test_scan_cache_round_trip(capsys, tmp_path) -> None:
@@ -229,14 +188,24 @@ def test_scan_rejects_bad_p(capsys) -> None:
 
 
 def test_table_text_and_error_rows(capsys) -> None:
-    code, out, _ = run(
-        capsys, ["table", "--p-list", "5,7", "--d", "2", "--q-max", "150"]
-    )
-    assert code == EXIT_OK
-    assert out.splitlines() == ["p=5: 79 109", "p=7: 13"]
-    code, out, _ = run(capsys, ["table", "--p-list", "4", "--d", "2", "--q-max", "50"])
-    assert code == EXIT_OK
-    assert out.splitlines() == ["p=4: error: ValueError: p must be a prime >= 5"]
+    # a refused p ahead of a valid one: its error row does not stop the rest
+    code, out, err = run(capsys, ["table", "--p-list", "4,7", "--d", "2", "--q-max", "150"])
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines() == ["p=4: error: ValueError: p must be a prime >= 5", "p=7: 13"]
+
+
+def test_table_internal_error_in_a_row_exits_internal(capsys, monkeypatch) -> None:
+    # only a refused p makes an error row; any other exception in a row is
+    # an internal error, whatever the format
+    def broken_scan_q(p, d, q_max, *, jobs=1):
+        raise RuntimeError("scan failed")
+
+    monkeypatch.setattr(scan, "scan_q", broken_scan_q)
+    for fmt in ("text", "json", "csv"):
+        argv = ["table", "--p-list", "5", "--d", "2", "--q-max", "50", "--format", fmt]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (EXIT_INTERNAL, ""), fmt
+        assert err == "internal error: RuntimeError: scan failed\n", fmt
 
 
 def test_table_rejects_bad_table_wide_flags_once(capsys) -> None:

@@ -27,8 +27,18 @@ from pratcert.criteria import (
 )
 from pratcert.quadratic import GE3, QuadElem, fundamental_unit, make_field
 from pratcert.scan import record_for, scan_records
+from _oracles import unit_power
 
 GOLDEN = (7, 13, 2)
+
+
+def _power(u: QuadElem, k: int) -> QuadElem:
+    return QuadElem.make(u.field, *unit_power(u.x, u.y, u.den, u.field.m, k))
+
+
+def _shifted_norm(u: QuadElem, s: int) -> int:
+    # N(u + s) from the coordinates of u
+    return QuadElem.make(u.field, u.x + s * u.den, u.y, u.den).norm()
 
 
 def test_family_violations_golden_is_clean():
@@ -143,8 +153,8 @@ def test_direct_summand_check_golden():
 
 def test_summand_norm_decomposition_feeding_the_valuations():
     eps = fundamental_unit(make_field(91)).elem
-    assert (eps - 1).norm() == -3146
-    assert (eps + 1).norm() == 3150
+    assert _shifted_norm(eps, -1) == -3146
+    assert _shifted_norm(eps, 1) == 3150
     # v_13(-3146) = 1 and v_7(3150) = 1 force v(eps**2 - 1) = 1 at both places
     assert (-3146) % 13 == 0 and (-3146) % 169 != 0
     assert 3150 % 7 == 0 and 3150 % 49 != 0
@@ -162,7 +172,7 @@ def test_exact_unit_valuations_are_those_of_the_norm_of_eps_squared_minus_one():
             eps = fundamental_unit(field).elem
             halves += eps.den == 2
             facts = _unit_facts(p, q, field, eps)
-            norm = (eps * eps - 1).norm()
+            norm = _shifted_norm(_power(eps, 2), -1)
             for ell, key in ((p, "v_p_val"), (q, "v_q_val")):
                 assert facts[key] == padic_valuation(norm, ell)[0], (p, q, ell)
                 high += facts[key] >= 3
@@ -270,7 +280,13 @@ def test_certify_verdict_invariant_under_unit_renormalization():
     base = certify_freeness(*GOLDEN)
     field = make_field(7 * 13)
     eps = fundamental_unit(field).elem
-    for variant in (eps, -eps, eps.inverse(), -(eps.inverse())):
+    inverse = _power(eps, -1)
+    for variant in (
+        eps,
+        QuadElem(field, -eps.x, -eps.y, eps.den),
+        inverse,
+        QuadElem(field, -inverse.x, -inverse.y, inverse.den),
+    ):
         facts = {**base.facts, **_unit_facts(7, 13, field, variant)}
         assert judge(*GOLDEN, facts) == (base.verdict, base.reasons)
         for key in ("v_p_val", "v_q_val", "unit_pth_power_at_p", "e_s_generated"):

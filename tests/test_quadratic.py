@@ -1,4 +1,4 @@
-"""Quadratic fields: element arithmetic, fundamental units, valuations."""
+"""Quadratic fields: elements, fundamental units, valuations."""
 
 from __future__ import annotations
 
@@ -22,7 +22,16 @@ from pratcert.quadratic import (
     unit_norm_sign,
     unit_sq_minus_one_valuation,
 )
-from _oracles import cf_unit_oracle, pell_min_solution
+from _oracles import cf_unit_oracle, pell_min_solution, unit_power
+
+
+def _power(u: QuadElem, k: int) -> QuadElem:
+    return QuadElem.make(u.field, *unit_power(u.x, u.y, u.den, u.field.m, k))
+
+
+def _shifted_norm(u: QuadElem, s: int) -> int:
+    # N(u + s) from the coordinates of u
+    return QuadElem.make(u.field, u.x + s * u.den, u.y, u.den).norm()
 
 
 def test_make_field_examples():
@@ -98,6 +107,8 @@ def test_norm_trace_examples():
     assert QuadElem(f, 1573, 165).norm() == -3146
     e = QuadElem(f, 0, 1)
     assert (e.norm(), e.trace()) == (-91, 0)
+    golden = QuadElem(make_field(5), 1, 1, 2)
+    assert (golden.norm(), golden.trace()) == (-1, 1)
 
 
 def test_elem_arithmetic_against_direct_formulas():
@@ -109,49 +120,32 @@ def test_elem_arithmetic_against_direct_formulas():
         prod = a * b
         assert prod.x == a.x * b.x + 91 * a.y * b.y
         assert prod.y == a.x * b.y + a.y * b.x
-        assert (a + b).x == a.x + b.x
-        assert (a - b).y == a.y - b.y
         assert prod.norm() == a.norm() * b.norm()
-        assert (a + b).trace() == a.trace() + b.trace()
-
-
-def test_half_integral_arithmetic():
-    f = make_field(5)
-    golden = QuadElem(f, 1, 1, 2)
-    assert golden * golden == QuadElem(f, 3, 1, 2)
-    assert golden * golden - golden == QuadElem(f, 1, 0, 1)
-    assert golden.norm() == -1
-    assert golden.trace() == 1
-    assert (golden + QuadElem(f, 1, -1, 2)) == QuadElem(f, 1, 0, 1)
-
-
-def test_pow_matches_repeated_multiplication():
-    f = make_field(7)
-    e = QuadElem(f, 8, 3)
-    acc = QuadElem(f, 1, 0)
-    for k in range(8):
-        assert e**k == acc
-        acc = acc * e
-    assert e**-1 == e.inverse()
-    assert e**-3 == (e**3).inverse()
-
-
-def test_int_coercion_in_arithmetic():
-    f = make_field(91)
-    e = QuadElem(f, 1574, 165)
-    w = e * e - 1
-    assert (w.x, w.y) == (1574 * 1574 + 91 * 165 * 165 - 1, 2 * 1574 * 165)
-    assert (e + 1).x == 1575
-    assert (3 * e).x == 4722
-
-
-def test_inverse_requires_unit_norm():
-    f = make_field(91)
-    eps = QuadElem(f, 1574, 165)
-    one = eps * eps.inverse()
-    assert one == QuadElem(f, 1, 0)
+    f5 = make_field(5)
+    golden = QuadElem(f5, 1, 1, 2)
+    assert golden * golden == QuadElem(f5, 3, 1, 2)
     with pytest.raises(ValueError):
-        QuadElem(f, 0, 1).inverse()
+        golden * QuadElem(f, 1, 1)
+
+
+def test_unit_power_oracle_frozen_values():
+    # the oracle that builds unit powers for the tests, on hand-checked values
+    assert unit_power(1, 1, 2, 5, 2) == (3, 1, 2)
+    assert unit_power(1, 1, 2, 5, -1) == (-1, 1, 2)
+    assert unit_power(1, 1, 2, 5, 3) == (2, 1, 1)
+    powers = {k: unit_power(8, 3, 1, 7, k) for k in range(-3, 8)}
+    assert powers[0] == (1, 0, 1)
+    assert powers[2] == (127, 48, 1)
+    assert powers[-1] == (8, -3, 1)
+    assert powers[-3] == (2024, -765, 1)
+    for k, (x, y, den) in powers.items():
+        assert (den, x * x - 7 * y * y) == (1, 1), k
+        if k < 7:
+            assert powers[k + 1] == (8 * x + 21 * y, 3 * x + 8 * y, 1), k
+    x, y, _ = unit_power(1574, 165, 1, 91, -1)
+    assert (1574 * x + 91 * 165 * y, 1574 * y + 165 * x) == (1, 0)
+    with pytest.raises(ValueError):
+        unit_power(0, 1, 1, 91, -1)
 
 
 def test_str_rendering():
@@ -274,10 +268,10 @@ def test_unit_norm_sign_agrees_with_exact_unit():
 
 def test_unit_power_residues_frozen():
     # hand-checkable squaring chains used by the local p-th power tests
-    e24 = QuadElem(make_field(2), 1, 1) ** 24
-    assert (e24.x % 25, e24.y % 25) == (1, 20)
-    e24 = QuadElem(make_field(7), 8, 3) ** 24
-    assert (e24.x % 25, e24.y % 25) == (1, 5)
+    x, y, _ = unit_power(1, 1, 1, 2, 24)
+    assert (x % 25, y % 25) == (1, 20)
+    x, y, _ = unit_power(8, 3, 1, 7, 24)
+    assert (x % 25, y % 25) == (1, 5)
 
 
 def test_norm_shift_identities_for_units():
@@ -286,9 +280,9 @@ def test_norm_shift_identities_for_units():
         fu = fundamental_unit(make_field(m))
         e = fu.elem
         n, t = e.norm(), e.trace()
-        assert (e + 1).norm() == n + t + 1
-        assert (e - 1).norm() == n - t + 1
-        assert (e * e - 1).norm() == (e - 1).norm() * (e + 1).norm()
+        assert _shifted_norm(e, 1) == n + t + 1
+        assert _shifted_norm(e, -1) == n - t + 1
+        assert _shifted_norm(_power(e, 2), -1) == _shifted_norm(e, -1) * _shifted_norm(e, 1)
 
 
 def test_reduced_unit_path_matches_exact_unit():
@@ -333,11 +327,11 @@ def test_unit_sq_valuation_from_trace_agrees_with_exact():
     # dual route: T mod ell**3 decides v(eps**2 - 1) in {0, 1, 2} vs >= 3
     for m, ells in ((91, (7, 13)), (35, (5, 7)), (115, (5, 23)), (119, (7, 17))):
         fu = fundamental_unit(make_field(m))
-        w = fu.elem * fu.elem - 1
+        norm = _shifted_norm(_power(fu.elem, 2), -1)
         for ell in ells:
             if ell == 2:
                 continue
-            exact = padic_valuation(w.norm(), ell)[0]
+            exact = padic_valuation(norm, ell)[0]
             reduced = unit_sq_minus_one_valuation(
                 fu.elem.trace() % ell**3, fu.unit_norm, ell
             )
@@ -353,7 +347,7 @@ def test_unit_sq_valuation_frozen_cases():
     # m = 115: eps = 1126 + 105*sqrt(115), 5 divides y, so v at 5 is 3
     fu = fundamental_unit(make_field(115))
     assert (fu.elem.x, fu.elem.y) == (1126, 105)
-    assert padic_valuation((fu.elem * fu.elem - 1).norm(), 5)[0] == 3
+    assert padic_valuation(_shifted_norm(_power(fu.elem, 2), -1), 5)[0] == 3
     assert unit_sq_minus_one_valuation(2252, 1, 5) == GE3
     with pytest.raises(ValueError):
         unit_sq_minus_one_valuation(10, 2, 5)
