@@ -1,12 +1,15 @@
 """Sweep over q for fixed (p, d), with a resumable line cache.
 
-Candidate evaluations are pure, so they parallelize freely; the output is
-assembled in ascending q regardless of worker count, and a record cache
-(append-only JSON lines) makes interrupted scans resumable.  Cache lines are
-re-judged, not trusted: stale or foreign lines are ignored, and a line whose
-verdict, rank or reasons disagree with criteria.judge of its facts, or
-whose claimed family violations are not those of its (p, q, d), is
-recomputed.
+A scan is one pass over the candidates in ascending q, whatever the worker
+count.  Each record comes from the cache, or is computed afresh (for jobs > 1
+by a process pool, one batch of _BATCH_PER_JOB tasks per worker at a time),
+appended to the cache (append-only JSON lines) and flushed, then checked and
+handed on.  So a scan holds its cached records, one batch and what its
+caller keeps, and an interrupt loses at most the batch in flight.  Cache
+lines are re-judged, not trusted: stale or foreign lines are ignored, and a
+line whose verdict, rank or reasons disagree with criteria.judge of its
+facts, or whose claimed family violations are not those of its (p, q, d),
+is recomputed.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from itertools import islice, tee
+from typing import Any, Iterator
 
 from ._version import __version__
 from .arith import _PRIME_BOUND, is_prime, kronecker
@@ -57,17 +61,7 @@ class ScanRecord:
     facts: dict[str, Any]
 
     def to_json_line(self) -> str:
-        payload = {
-            "schema_version": self.schema_version,
-            "tool_version": self.tool_version,
-            "p": self.p,
-            "q": self.q,
-            "d": self.d,
-            "verdict": self.verdict,
-            "rank": self.rank,
-            "facts": self.facts,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json_obj(cls, obj: dict[str, Any]) -> "ScanRecord":
@@ -169,24 +163,28 @@ def _load_cache(path: str, p: int, d: int) -> dict[int, ScanRecord]:
     return records
 
 
-def _compute(todo: list[tuple[int, int, int]], jobs: int) -> Iterator[ScanRecord]:
-    if jobs <= 1 or len(todo) <= 1:
-        for args in todo:
-            yield _worker(args)
+# tasks per worker that a pool computes ahead of the pass: they bound both
+# the memory of a parallel scan and what an interrupt loses
+_BATCH_PER_JOB = 2048
+
+
+def _compute(tasks: Iterator[tuple[int, int, int]], jobs: int) -> Iterator[ScanRecord]:
+    if jobs <= 1:
+        yield from map(_worker, tasks)
         return
     # imported here, not at the top: the pool pulls in multiprocessing, which
     # would otherwise slow every import of pratcert that never runs a pool
     from concurrent.futures import ProcessPoolExecutor
 
-    chunksize = max(1, len(todo) // (4 * jobs))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(_worker, todo, chunksize=chunksize)
+        while batch := list(islice(tasks, _BATCH_PER_JOB * jobs)):
+            yield from pool.map(_worker, batch, chunksize=max(1, len(batch) // (4 * jobs)))
 
 
-def _candidates(p: int, q_max: int) -> list[int]:
-    # only q = kp - 1 can be in the family: test those alone, so that memory
-    # and time follow the candidates rather than every integer up to q_max
-    return [q for q in range(p - 1, q_max + 1, p) if is_prime(q)]
+def _candidates(p: int, q_max: int) -> Iterator[int]:
+    # only q = kp - 1 can be in the family: test those alone, so that time
+    # follows the candidates rather than every integer up to q_max
+    return (q for q in range(p - 1, q_max + 1, p) if is_prime(q))
 
 
 def _require_scan_bounds(d: int, q_max: int, jobs: int) -> None:
@@ -201,6 +199,36 @@ def _require_scan_bounds(d: int, q_max: int, jobs: int) -> None:
         raise ValueError("jobs must be >= 1")
 
 
+def _scan(p: int, d: int, q_max: int, cache: str | None, jobs: int) -> Iterator[ScanRecord]:
+    """The scan as one pass; the candidates are tested once and teed, and the
+    fresh stream reads ahead of the pass by at most one batch."""
+    _require_p(p)
+    _require_scan_bounds(d, q_max, jobs)
+    cached = _load_cache(cache, p, d) if cache is not None else {}
+    ahead, candidates = tee(_candidates(p, q_max))
+    fresh = _compute(((p, q, d) for q in ahead if q not in cached), jobs)
+    out = None
+    try:
+        for q in candidates:
+            rec = cached.get(q)
+            if rec is None:
+                rec = next(fresh)
+                if cache is not None:
+                    if out is None:
+                        try:
+                            out = open(cache, "a", encoding="utf-8")
+                        except OSError as exc:
+                            raise ValueError(f"cannot append to cache file {cache}: {exc}") from exc
+                    out.write(rec.to_json_line() + "\n")
+                    out.flush()
+            _validate_emitted(rec)
+            yield rec
+    finally:
+        fresh.close()
+        if out is not None:
+            out.close()
+
+
 def scan_records(
     p: int, d: int, q_max: int, *, cache: str | None = None, jobs: int = 1
 ) -> list[ScanRecord]:
@@ -208,66 +236,37 @@ def scan_records(
 
     Results arrive in ascending q independently of worker count.  With a
     cache path, records matching (schema_version, tool_version, p, d) whose
-    verdict judge confirms are reused and fresh ones appended, so a rerun
-    after an interruption picks up where it stopped.  Candidates outside
-    the family (for instance a d that fails the residue conditions) produce
+    verdict judge confirms are reused, and each fresh record is appended and
+    flushed when the pass reaches its q, so a rerun after an interruption
+    picks up where it stopped.  Besides the returned list, a scan holds the
+    cached records and, for jobs > 1, one batch of _BATCH_PER_JOB tasks per
+    worker; an interrupt loses the records of that batch not yet appended,
+    and at jobs = 1 only the record being computed.  Candidates outside the
+    family (for instance a d that fails the residue conditions) produce
     NOT_CERTIFIED records whose facts list the violations.
     """
-    _require_p(p)
-    _require_scan_bounds(d, q_max, jobs)
-    candidates = _candidates(p, q_max)
-    cached: dict[int, ScanRecord] = {}
-    if cache is not None:
-        cached = _load_cache(cache, p, d)
-    todo = [(p, q, d) for q in candidates if q not in cached]
-    fresh: dict[int, ScanRecord] = {}
-    if todo:
-        out = None
-        if cache is not None:
-            try:
-                out = open(cache, "a", encoding="utf-8")
-            except OSError as exc:
-                raise ValueError(f"cannot append to cache file {cache}: {exc}") from exc
-        try:
-            for rec in _compute(todo, jobs):
-                fresh[rec.q] = rec
-                if out is not None:
-                    out.write(rec.to_json_line() + "\n")
-                    out.flush()
-        finally:
-            if out is not None:
-                out.close()
-    records = [cached[q] if q in cached else fresh[q] for q in candidates]
-    _validate_emitted(records)
-    return records
+    return list(_scan(p, d, q_max, cache, jobs))
 
 
-def _validate_emitted(records: Iterable[ScanRecord]) -> None:
-    # post-hoc guard: every certified q must satisfy the family congruences
-    for rec in records:
-        if rec.verdict != CERTIFIED_FREE:
-            continue
-        ok = (
-            (rec.q + 1) % rec.p == 0
-            and (rec.q + 1) % (rec.p * rec.p) != 0
-            and kronecker(-rec.d, rec.q) == -1
+def _validate_emitted(rec: ScanRecord) -> None:
+    # guard: every certified q must satisfy the family congruences
+    if rec.verdict == CERTIFIED_FREE and not (
+        (rec.q + 1) % rec.p == 0
+        and (rec.q + 1) % (rec.p * rec.p) != 0
+        and kronecker(-rec.d, rec.q) == -1
+    ):
+        raise RuntimeError(
+            f"certified record violates the family congruences: "
+            f"p={rec.p} q={rec.q} d={rec.d}"
         )
-        if not ok:
-            raise RuntimeError(
-                f"certified record violates the family congruences: "
-                f"p={rec.p} q={rec.q} d={rec.d}"
-            )
 
 
 def scan_q(
     p: int, d: int, q_max: int, cache: str | None = None, jobs: int = 1
 ) -> list[int]:
-    """Ascending list of certified q <= q_max for the given (p, d)."""
-    return [
-        rec.q
-        for rec in scan_records(p, d, q_max, cache=cache, jobs=jobs)
-        if rec.verdict == CERTIFIED_FREE
-    ]
+    """Ascending list of certified q <= q_max for the given (p, d); of the
+    records it keeps only these q."""
+    return [rec.q for rec in _scan(p, d, q_max, cache, jobs) if rec.verdict == CERTIFIED_FREE]
 
 
 @dataclass(frozen=True)

@@ -87,24 +87,31 @@ def test_every_exported_name_is_reached_from_src(bench_spans) -> None:
     assert {method for method in methods if method[2] not in attributes} == METHOD_HELD
 
 
-def test_import_loads_no_process_pool() -> None:
-    # only a scan with jobs > 1 needs the pool; site may preload modules, so
-    # a fresh interpreter compares sys.modules around its own import
+def test_import_loads_no_process_pool(tmp_path) -> None:
+    # only a scan with fresh records to compute and jobs > 1 needs the pool,
+    # so neither the import nor a fully cached resume loads it; site may
+    # preload modules, so a fresh interpreter compares sys.modules around
+    # its own import
+    cache = str(tmp_path / "scan.jsonl")
     probe = f"""
 import sys
 sys.path.insert(0, {str(SRC.parent)!r})
 before = set(sys.modules)
+def pool_modules():
+    added = set(sys.modules) - before
+    return sorted(m for m in added if m.split(".")[0] in ("concurrent", "multiprocessing"))
 import pratcert, pratcert.cli
-added = set(sys.modules) - before
-print(sorted(m for m in added if m.split(".")[0] in ("concurrent", "multiprocessing")))
+print(pool_modules())
 from pratcert.scan import scan_q
-print(scan_q(7, 2, 2000, jobs=2) == scan_q(7, 2, 2000, jobs=1))
+serial = scan_q(7, 2, 2000, cache={cache!r}, jobs=1)
+print(scan_q(7, 2, 2000, cache={cache!r}, jobs=2) == serial, pool_modules())
+print(scan_q(7, 2, 2000, jobs=2) == serial)
 """
     child = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
     )
     assert child.returncode == 0, child.stderr
-    assert child.stdout.splitlines() == ["[]", "True"]
+    assert child.stdout.splitlines() == ["[]", "True []", "True"]
 
 
 def test_oracles_import_nothing_from_pratcert() -> None:

@@ -33,44 +33,6 @@ def test_check_json_round_trips_the_report(capsys) -> None:
     assert report == certify_freeness(7, 13, 2, exact=True)
 
 
-def test_check_text_certified(capsys) -> None:
-    code, out, err = run(capsys, ["check", "--p", "7", "--q", "13", "--d", "2"])
-    assert code == EXIT_OK
-    lines = out.splitlines()
-    assert lines[0] == "field Q(sqrt(91), sqrt(-2)) with p=7 q=13 d=2"
-    assert lines[1] == "verdict: CERTIFIED_FREE (rank 2)"
-    assert "facts:" in lines
-    assert "reasons:" not in lines
-
-
-def test_check_text_facts_match_json_facts(capsys) -> None:
-    _, text_out, _ = run(capsys, ["check", "--p", "7", "--q", "13", "--d", "2"])
-    _, json_out, _ = run(capsys, ["check", "--p", "7", "--q", "13", "--d", "2", "--format", "json"])
-    facts = json.loads(json_out)["facts"]
-    rendered: dict[str, str] = {}
-    in_facts = False
-    for line in text_out.splitlines():
-        if line == "facts:":
-            in_facts = True
-            continue
-        if in_facts and line.startswith("  "):
-            key, value = line[2:].split(" = ", 1)
-            rendered[key] = value
-            continue
-        in_facts = False
-    assert rendered == {k: str(v) for k, v in facts.items()}
-
-
-def test_check_not_certified_is_still_an_answer(capsys) -> None:
-    code, out, err = run(capsys, ["check", "--p", "5", "--q", "149", "--d", "2"])
-    assert code == EXIT_OK
-    assert err == ""
-    assert "verdict: NOT_CERTIFIED" in out
-    assert "the verdict does not assert non-freeness, only that some" in out
-    assert "hypothesis could not be verified" in out
-    assert "  - s = 5, need a single stable place above q in the tower" in out
-
-
 def test_check_invalid_params_exit_usage(capsys) -> None:
     code, out, err = run(capsys, ["check", "--p", "7", "--q", "12", "--d", "2"])
     assert code == EXIT_USAGE
@@ -138,26 +100,6 @@ def test_quad_classno_rejects_non_fundamental(capsys) -> None:
     code, _, err = run(capsys, ["quad", "classno", "--disc", "0"])
     assert code == EXIT_USAGE
     assert err.startswith("error: ")
-
-
-def test_quad_prat_imaginary_text(capsys) -> None:
-    code, out, _ = run(capsys, ["quad", "prat", "--m", "-2", "--p", "7"])
-    assert code == EXIT_OK
-    lines = out.splitlines()
-    assert lines[0] == "field Q(sqrt(-2)), p = 7"
-    assert lines[1] == "  class_number_prime_to_p = 1 (pass)"
-    assert lines[-1] == "p-rational: yes"
-
-
-def test_quad_prat_real_json(capsys) -> None:
-    code, out, _ = run(capsys, ["quad", "prat", "--m", "91", "--p", "7", "--format", "json"])
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    assert payload["field"] == "Q(sqrt(91))"
-    assert payload["p"] == 7
-    names = [c["name"] for c in payload["checks"]]
-    assert names[0] == "class_number_prime_to_p"
-    assert all(c["passed"] for c in payload["checks"]) == payload["verdict"]
 
 
 def test_scan_formats(capsys) -> None:
@@ -256,6 +198,16 @@ def test_version_flag(capsys) -> None:
 def test_transcript_is_byte_identical(capsys, entry) -> None:
     code, out, err = run(capsys, entry["argv"].split())
     assert (out, err, code) == (entry["stdout"], entry["stderr"], entry["exit"])
+
+
+def test_default_format_is_text(capsys) -> None:
+    # the transcript always names its format; without one, every command
+    # prints what --format text prints
+    for entry in TRANSCRIPT:
+        argv = entry["argv"].split()
+        if argv[-2:] == ["--format", "text"]:
+            expected = (entry["exit"], entry["stdout"], entry["stderr"])
+            assert run(capsys, argv[:-2]) == expected, entry["argv"]
 
 
 def test_transcript_covers_every_subcommand_in_every_format() -> None:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
+from itertools import islice
 
 import pytest
 
@@ -107,7 +109,7 @@ def test_scan_records_covers_every_candidate() -> None:
 def test_candidates_equal_the_filtered_sieve() -> None:
     for p, q_max in ((5, 0), (5, 4), (5, 19), (7, 1000), (13, 5000), (431, 10**4), (5, 30011)):
         expected = [q for q in primes_up_to(q_max) if (q + 1) % p == 0]
-        assert _candidates(p, q_max) == expected, (p, q_max)
+        assert list(_candidates(p, q_max)) == expected, (p, q_max)
 
 
 def test_scan_records_never_sieves_up_to_q_max(monkeypatch) -> None:
@@ -318,6 +320,74 @@ def test_worker_count_does_not_change_output(tmp_path) -> None:
     assert cache.read_text(encoding="utf-8").splitlines() == lines_of(serial)
 
 
+def test_parallel_scan_across_batch_boundaries_matches_serial(tmp_path, monkeypatch) -> None:
+    # one task per worker and batch, so criterion 8's scan spans many batches
+    batches: list[int] = []
+
+    def counting_islice(iterable, size):
+        batch = list(islice(iterable, size))
+        batches.append(len(batch))
+        return batch
+
+    monkeypatch.setattr(scan, "_BATCH_PER_JOB", 1)
+    monkeypatch.setattr(scan, "islice", counting_islice)
+    serial_cache, parallel_cache = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
+    serial = scan_records(7, 2, 2000, cache=str(serial_cache), jobs=1)
+    parallel = scan_records(7, 2, 2000, cache=str(parallel_cache), jobs=2)
+    assert lines_of(parallel) == lines_of(serial)
+    assert parallel_cache.read_bytes() == serial_cache.read_bytes()
+    assert sum(batches) == len(serial) and max(batches) == 2 and len(batches) > 10
+
+
+def _distinct_record(p: int, q: int, d: int) -> ScanRecord:
+    # a payload of its own per record: a shared constant would hide the
+    # growth of a scan that keeps its records
+    payload = {"payload": f"{q:0>64}"}
+    return ScanRecord(SCHEMA_VERSION, __version__, p, q, d, NOT_CERTIFIED, None, payload)
+
+
+def test_scan_memory_does_not_grow_with_q_max(monkeypatch) -> None:
+    monkeypatch.setattr(scan, "record_for", _distinct_record)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for q_max in (20_000, 200_000):
+            tracemalloc.reset_peak()
+            assert scan_q(5, 2, q_max) == []
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks
+
+
+def test_interrupted_scan_keeps_every_earlier_record(tmp_path, monkeypatch) -> None:
+    baseline = lines_of(scan_records(5, 2, 200))
+    cache = tmp_path / "scan.jsonl"
+    k = 4
+    computed: list[int] = []
+    opened = []
+
+    def interrupted(p: int, q: int, d: int) -> ScanRecord:
+        computed.append(q)
+        if len(computed) == k:
+            raise KeyboardInterrupt
+        return record_for(p, q, d)
+
+    def tracked_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scan, "record_for", interrupted)
+        patch.setattr(scan, "open", tracked_open, raising=False)
+        with pytest.raises(KeyboardInterrupt):
+            scan_records(5, 2, 200, cache=str(cache))
+    assert cache.read_text(encoding="utf-8").splitlines() == baseline[: k - 1]
+    assert opened and all(fh.closed for fh in opened)
+    assert lines_of(scan_records(5, 2, 200, cache=str(cache))) == baseline
+    assert cache.read_text(encoding="utf-8").splitlines() == baseline
+
+
 def fake_record(p: int, q: int, d: int, verdict: str) -> ScanRecord:
     return ScanRecord(
         schema_version=SCHEMA_VERSION,
@@ -334,13 +404,13 @@ def fake_record(p: int, q: int, d: int, verdict: str) -> ScanRecord:
 def test_certified_guard_rejects_congruence_violations() -> None:
     # q = -1 (mod p**2) must never appear as certified
     with pytest.raises(RuntimeError, match="violates the family congruences"):
-        _validate_emitted([fake_record(5, 149, 2, CERTIFIED_FREE)])
+        _validate_emitted(fake_record(5, 149, 2, CERTIFIED_FREE))
     # nor may a q where -d is a square
     with pytest.raises(RuntimeError, match="p=5 q=19 d=2"):
-        _validate_emitted([fake_record(5, 19, 2, CERTIFIED_FREE)])
+        _validate_emitted(fake_record(5, 19, 2, CERTIFIED_FREE))
     # non-certified records are exempt from the guard
-    _validate_emitted([fake_record(5, 149, 2, NOT_CERTIFIED)])
-    _validate_emitted([fake_record(7, 13, 2, CERTIFIED_FREE)])
+    _validate_emitted(fake_record(5, 149, 2, NOT_CERTIFIED))
+    _validate_emitted(fake_record(7, 13, 2, CERTIFIED_FREE))
 
 
 def test_reproduce_table_rows_and_error_isolation() -> None:
