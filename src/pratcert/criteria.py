@@ -15,6 +15,7 @@ spell this out (docs/algorithms.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ._version import __version__
@@ -82,6 +83,12 @@ class FamilyParams:
     d: int
 
 
+# a scan, and a load of its cache, ask about one d for every q
+@lru_cache(maxsize=64)
+def _squarefree(d: int) -> bool:
+    return factor(d).is_squarefree()
+
+
 def family_violations(p: int, q: int, d: int) -> list[str]:
     """Every violated family condition, by name; empty list means valid.
 
@@ -118,7 +125,7 @@ def family_violations(p: int, q: int, d: int) -> list[str]:
         reasons.append("d must be below 2^64")
     elif not d_ok:
         reasons.append("d must be a positive integer")
-    elif d > 1 and not factor(d).is_squarefree():
+    elif d > 1 and not _squarefree(d):
         reasons.append("d must be squarefree")
         d_ok = False
     if d_ok and p_ok and d % p == 0:

@@ -51,7 +51,7 @@ def _discriminant(m: int) -> int:
     return m if m % 4 == 1 else 4 * m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadField:
     """Q(sqrt(m)) for squarefree m != 0, 1, with its fundamental discriminant."""
 
@@ -74,14 +74,14 @@ def make_field(m0: int) -> QuadField:
         raise ValueError("radicand must not be a perfect square")
     m = factor(m0).squarefree_core()
     # a verified factorization's core is squarefree: skip __post_init__'s
-    # re-check; setattr, not __dict__, keeps the instance's compact storage
+    # re-check; the fields are slots, so they are set one by one
     field = object.__new__(QuadField)
     for name, value in (("m", m), ("disc", _discriminant(m)), ("is_real", m > 0)):
         object.__setattr__(field, name, value)
     return field
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadElem:
     """(x + y sqrt(m)) / den with den in {1, 2}.
 
@@ -142,7 +142,7 @@ class QuadElem:
         return f"({body})/2" if self.den == 2 else body
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FundUnit:
     """Fundamental unit > 1 of the maximal order of a real quadratic field."""
 

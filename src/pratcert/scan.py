@@ -15,6 +15,7 @@ is recomputed.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass
 from itertools import islice, tee
@@ -43,7 +44,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+@dataclass(frozen=True, slots=True)
 class ScanRecord:
     """One cached certification outcome for a single (p, q, d).
 
@@ -61,33 +65,42 @@ class ScanRecord:
     facts: dict[str, Any]
 
     def to_json_line(self) -> str:
-        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
+        return _ENCODER.encode({name: getattr(self, name) for name in self.__slots__})
 
     @classmethod
     def from_json_obj(cls, obj: dict[str, Any]) -> "ScanRecord":
+        """The record a parsed cache line describes.  A cache holds many
+        records at once, so their strings are the program's own where they
+        can be: fact names are interned (the certifier's keys are), and the
+        verdict and a current tool_version are the module's constants."""
         if not isinstance(obj, dict):
             raise ValueError("record must be a JSON object")
         for key in ("schema_version", "p", "q", "d"):
             if not isinstance(obj.get(key), int):
                 raise ValueError(f"field {key} must be an integer")
-        if not isinstance(obj.get("tool_version"), str):
+        tool_version = obj.get("tool_version")
+        if not isinstance(tool_version, str):
             raise ValueError("field tool_version must be a string")
-        if obj.get("verdict") not in (CERTIFIED_FREE, NOT_CERTIFIED):
+        for verdict in (CERTIFIED_FREE, NOT_CERTIFIED):
+            if obj.get("verdict") == verdict:
+                break
+        else:
             raise ValueError("unknown verdict")
         rank = obj.get("rank")
         if rank is not None and not isinstance(rank, int):
             raise ValueError("field rank must be an integer or null")
-        if not isinstance(obj.get("facts"), dict):
+        facts = obj.get("facts")
+        if not isinstance(facts, dict):
             raise ValueError("field facts must be an object")
         return cls(
             schema_version=obj["schema_version"],
-            tool_version=obj["tool_version"],
+            tool_version=__version__ if tool_version == __version__ else tool_version,
             p=obj["p"],
             q=obj["q"],
             d=obj["d"],
-            verdict=obj["verdict"],
+            verdict=verdict,
             rank=rank,
-            facts=obj["facts"],
+            facts={sys.intern(name): value for name, value in facts.items()},
         )
 
 
@@ -114,13 +127,21 @@ def _worker(args: tuple[int, int, int]) -> ScanRecord:
     return record_for(*args)
 
 
+# the d and top-level p of a line in to_json_line's own form: compact and
+# key-sorted, so d comes first, and the last "p" key is the top-level one,
+# since none of the keys after it (q to verdict) holds an object
+_WRITTEN_D_P = re.compile(r'\{"d":(-?(?:0|[1-9][0-9]*)),"facts":.*,"p":(-?(?:0|[1-9][0-9]*)),')
+
+
 def _load_cache(path: str, p: int, d: int) -> dict[int, ScanRecord]:
     """Cached records for this (p, d) keyed by q.
 
-    A JSON object whose p, d, schema_version or tool_version is not this
-    scan's is skipped before it is validated, silently.  Unreadable lines,
-    and misjudged ones (whose verdict, rank or reasons disagree with judge
-    of their facts, or whose invalid list is not family_violations of their
+    A line in to_json_line's own form that names another d or p is skipped
+    unparsed, and a JSON object whose p, d, schema_version or tool_version
+    is not this scan's is skipped before it is validated; both silently,
+    so one cache can serve many (p, d).  Unreadable lines, and misjudged
+    ones (whose verdict, rank or reasons disagree with judge of their
+    facts, or whose invalid list is not family_violations of their
     (p, q, d)), warn and are skipped, so their q is computed afresh.  judge
     takes an invalid list at its word, so only a line that claims one is
     checked against the family conditions; a certified q is guarded by
@@ -129,6 +150,7 @@ def _load_cache(path: str, p: int, d: int) -> dict[int, ScanRecord]:
     records: dict[int, ScanRecord] = {}
     unreadable = misjudged = 0
     ours = (SCHEMA_VERSION, __version__, p, d)
+    written_ours = (str(d), str(p))
     try:
         fh = open(path, encoding="utf-8")
     except FileNotFoundError:
@@ -138,6 +160,9 @@ def _load_cache(path: str, p: int, d: int) -> dict[int, ScanRecord]:
     with fh:
         for line in fh:
             if not line.strip():
+                continue
+            written = _WRITTEN_D_P.match(line)
+            if written is not None and written.groups() != written_ours:
                 continue
             try:
                 obj = json.loads(line)

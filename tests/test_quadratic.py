@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 import sys
 from collections import Counter
@@ -82,6 +83,14 @@ def test_make_field_factors_its_radicand_once(monkeypatch):
     assert calls == [91]
     with pytest.raises(ValueError):
         QuadField(m=12, disc=48, is_real=True)
+
+
+def test_fields_elements_and_units_are_slotted_and_pickle_to_themselves():
+    # make_field fills its instance's slots without __init__
+    unit = fundamental_unit(make_field(5))
+    for obj in (make_field(-2), make_field(91), QuadElem(make_field(91), 1, 1), unit.elem, unit):
+        assert not hasattr(obj, "__dict__")
+        assert pickle.loads(pickle.dumps(obj)) == obj
 
 
 def test_elem_canonical_denominator():

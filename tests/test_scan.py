@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import pickle
+import sys
 import tracemalloc
 from itertools import islice
 
 import pytest
 
-from pratcert import arith, scan
+from pratcert import arith, criteria, scan
 from pratcert._version import __version__
 from pratcert.arith import primes_up_to
 from pratcert.criteria import (
@@ -68,6 +70,13 @@ def test_json_line_is_canonical_and_round_trips() -> None:
         assert ScanRecord.from_json_obj(obj) == rec
         assert line == json.dumps(obj, sort_keys=True, separators=(",", ":"))
         assert "\n" not in line
+
+
+def test_records_are_slotted_and_pickle_to_themselves() -> None:
+    for args in ((7, 13, 2), (5, 19, 2)):
+        rec = record_for(*args)
+        assert not hasattr(rec, "__dict__")
+        assert pickle.loads(pickle.dumps(rec)) == rec
 
 
 def test_from_json_obj_rejects_malformed_records() -> None:
@@ -279,6 +288,75 @@ def test_foreign_cache_lines_are_ignored(tmp_path) -> None:
     cache.write_text(record_for(7, 13, 2).to_json_line() + "\n", encoding="utf-8")
     records = scan_records(5, 2, 20, cache=str(cache))
     assert [(rec.p, rec.q, rec.d) for rec in records] == [(5, 19, 2)]
+
+
+def test_foreign_written_lines_are_skipped_unparsed(tmp_path, capsys) -> None:
+    # a line in to_json_line's form that names another p or d is skipped
+    # before json.loads, so even a cut one passes silently; the load of its
+    # own (p, d) parses it and counts it unreadable
+    def cut_after(line: str, key: str) -> str:
+        return line[: line.index(key) + len(key)]
+
+    record = record_for(5, 19, 2)
+    cut_p = cut_after(record_for(7, 13, 2).to_json_line(), '"p":7,')
+    cut_d = cut_after(record_for(5, 19, 3).to_json_line(), '"p":5,')
+    spaced = json.dumps(json.loads(record.to_json_line()), sort_keys=True)
+    assert '"p": 5, ' in spaced
+    cache = tmp_path / "scan.jsonl"
+    text = "\n".join([cut_p, cut_d, spaced]) + "\n"
+    cache.write_text(text, encoding="utf-8")
+    assert scan_records(5, 2, 20, cache=str(cache)) == [record]
+    assert "warning" not in capsys.readouterr().err
+    assert cache.read_text(encoding="utf-8") == text
+    assert scan_records(7, 2, 13, cache=str(cache)) == [record_for(7, 13, 2)]
+    assert f"warning: skipped 1 unreadable cache line(s) in {cache}" in capsys.readouterr().err
+
+
+def test_cache_load_factors_d_once(tmp_path, monkeypatch) -> None:
+    # every invalid line re-checks the family conditions of its (p, q, d),
+    # but the squarefree test of d does not depend on q
+    calls = []
+    real_factor = criteria.factor
+
+    def counting_factor(n):
+        calls.append(n)
+        return real_factor(n)
+
+    cache = tmp_path / "scan.jsonl"
+    records = scan_records(5, 6, 500, cache=str(cache))
+    assert sum("invalid" in rec.facts for rec in records) > 10
+    monkeypatch.setattr(criteria, "factor", counting_factor)
+    assert scan_records(5, 6, 500, cache=str(cache)) == records
+    assert calls.count(6) <= 1
+
+
+def test_resumed_records_hold_the_programs_own_strings(tmp_path) -> None:
+    cache = tmp_path / "scan.jsonl"
+    fresh = scan_records(5, 2, 500, cache=str(cache))
+    resumed = scan_records(5, 2, 500, cache=str(cache))
+    assert resumed == fresh
+    for rec in resumed:
+        assert all(name is sys.intern(name) for name in rec.facts)
+        assert rec.verdict is CERTIFIED_FREE or rec.verdict is NOT_CERTIFIED
+        assert rec.tool_version is __version__
+
+
+def test_resumed_records_cost_little_more_than_fresh_ones(tmp_path) -> None:
+    # the resume holds one record per cached q; held bytes, not the peak
+    cache = str(tmp_path / "scan.jsonl")
+    scan_records(5, 2, 3000)  # module state the scan builds is not counted
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fresh = scan_records(5, 2, 3000, cache=cache)
+        fresh_bytes = tracemalloc.get_traced_memory()[0] - base
+        base = tracemalloc.get_traced_memory()[0]
+        resumed = scan_records(5, 2, 3000, cache=cache)
+        resumed_bytes = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert resumed == fresh
+    assert resumed_bytes <= 1.5 * fresh_bytes, (resumed_bytes, fresh_bytes)
 
 
 def test_foreign_lines_are_skipped_before_validation(tmp_path, capsys) -> None:
