@@ -11,17 +11,13 @@ from .classno import ClassNumberResult, h_imaginary, h_plus_real
 from .criteria import (
     CERTIFIED_FREE,
     NOT_CERTIFIED,
-    FamilyParams,
-    FamilyValidationError,
     FreenessReport,
     PRationalityReport,
-    alpha_S,
     certify_freeness,
     judge,
     prat_biquad,
     prat_imag,
     prat_real,
-    validate_family,
 )
 from .localfield import classify_splitting, is_pth_power_local, tower_places
 from .quadratic import FundUnit, QuadElem, QuadField, fundamental_unit, make_field
@@ -32,8 +28,6 @@ __all__ = [
     "NOT_CERTIFIED",
     "ClassNumberResult",
     "Factorization",
-    "FamilyParams",
-    "FamilyValidationError",
     "FreenessReport",
     "FundUnit",
     "PRationalityReport",
@@ -42,7 +36,6 @@ __all__ = [
     "ScanRecord",
     "TableRow",
     "__version__",
-    "alpha_S",
     "certify_freeness",
     "classify_splitting",
     "factor",
@@ -62,5 +55,4 @@ __all__ = [
     "scan_q",
     "scan_records",
     "tower_places",
-    "validate_family",
 ]

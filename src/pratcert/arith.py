@@ -33,6 +33,9 @@ __all__ = [
 # Deterministic below psi_12 = 318_665_857_834_031_151_167_461 > 2**64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# n shares a factor with their product iff one of the witnesses divides n
+_WITNESS_PRODUCT = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37
+
 # psi_k for k = 1 .. 11: below psi_k the first k witnesses decide
 _PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383)
 _PSI += (341550071728321,) * 2 + (3825123056546413051,) * 3
@@ -54,11 +57,10 @@ def is_prime(n: int) -> bool:
         raise ValueError("is_prime expects a nonnegative integer")
     if n >= _PRIME_BOUND:
         raise ValueError("is_prime is deterministic only for 64-bit inputs")
+    if gcd(n, _WITNESS_PRODUCT) != 1:
+        return n in _MR_WITNESSES
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
@@ -254,6 +256,8 @@ def padic_valuation(n: int, ell: int) -> tuple[int, int]:
 
 
 def _carmichael(m: int) -> int:
+    if m < _PRIME_BOUND and is_prime(m):
+        return m - 1
     lam = 1
     for p, e in factor(m).factors:
         if p == 2:
@@ -265,10 +269,17 @@ def _carmichael(m: int) -> int:
 
 
 def mult_order(a: int, m: int) -> int:
-    """Least k >= 1 with a**k = 1 (mod m); requires gcd(a, m) = 1."""
+    """Least k >= 1 with a**k = 1 (mod m); requires gcd(a, m) = 1.
+
+    The order divides the Carmichael value of m, found by factoring m, or
+    m - 1 for a prime m, which is not factored; the order is found by
+    factoring that value.  a = 1 (mod m) has order 1 and factors nothing.
+    """
     if m < 2:
         raise ValueError("modulus must be at least 2")
     a %= m
+    if a == 1:
+        return 1
     if gcd(a, m) != 1:
         raise ValueError("mult_order requires gcd(a, m) = 1")
     order = _carmichael(m)

@@ -27,7 +27,6 @@ from .localfield import (
     _require_p,
     classify_splitting,
     is_pth_power_local,
-    mu_p_in_local,
     tower_places,
 )
 from .quadratic import (
@@ -43,18 +42,14 @@ __all__ = [
     "CERTIFIED_FREE",
     "NOT_CERTIFIED",
     "Check",
-    "FamilyParams",
-    "FamilyValidationError",
     "FreenessReport",
     "PRationalityReport",
-    "alpha_S",
     "certify_freeness",
     "family_violations",
     "judge",
     "prat_biquad",
     "prat_imag",
     "prat_real",
-    "validate_family",
 ]
 
 CERTIFIED_FREE = "certified_free"
@@ -63,30 +58,44 @@ NOT_CERTIFIED = "not_certified"
 SCHEMA_VERSION = 1
 
 
-class FamilyValidationError(ValueError):
-    """Raised when (p, q, d) violates the family constraints.
+def _pd_conditions(
+    p: int, d: int
+) -> tuple[bool, bool, tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """The half of family_violations that reads p and d alone.
 
-    ``reasons`` names every violated condition, not just the first.
+    Whether p and whether d pass on their own, then the reasons that name
+    p, those that name d (and d with p), and the residue condition mod p,
+    each in family order.
     """
+    p_ok = type(p) is int and 3 < p < _PRIME_BOUND and is_prime(p)
+    if type(p) is not int:
+        p_reasons = ("p must be an integer",)
+    elif p >= _PRIME_BOUND:
+        p_reasons = ("p must be below 2^64",)
+    else:
+        p_reasons = () if p_ok else ("p must be a prime greater than 3",)
+    d_ok = type(d) is int and 1 <= d < _PRIME_BOUND
+    d_reasons: tuple[str, ...] = ()
+    if type(d) is not int:
+        d_reasons = ("d must be an integer",)
+    elif d >= _PRIME_BOUND:
+        d_reasons = ("d must be below 2^64",)
+    elif not d_ok:
+        d_reasons = ("d must be a positive integer",)
+    elif d > 1 and not factor(d).is_squarefree():
+        d_reasons = ("d must be squarefree",)
+        d_ok = False
+    if d_ok and p_ok and d % p == 0:
+        d_reasons += ("d must not be divisible by p",)
+    residue: tuple[str, ...] = ()
+    if d_ok and p_ok and d % p != 0 and kronecker(-d, p) != -1:
+        residue = ("-d must be a quadratic non-residue modulo p",)
+    return p_ok, d_ok, p_reasons, d_reasons, residue
 
-    def __init__(self, reasons: list[str]) -> None:
-        super().__init__("; ".join(reasons))
-        self.reasons = tuple(reasons)
 
-
-@dataclass(frozen=True)
-class FamilyParams:
-    """Validated parameters of the quartic family Q(sqrt(pq), sqrt(-d))."""
-
-    p: int
-    q: int
-    d: int
-
-
-# a scan, and a load of its cache, ask about one d for every q
-@lru_cache(maxsize=64)
-def _squarefree(d: int) -> bool:
-    return factor(d).is_squarefree()
+# a scan, and a load of its cache, ask about one (p, d) for every q; only
+# integers are looked up, since a bool equals 1 and a list is unhashable
+_pd_conditions_cached = lru_cache(maxsize=64)(_pd_conditions)
 
 
 def family_violations(p: int, q: int, d: int) -> list[str]:
@@ -97,16 +106,12 @@ def family_violations(p: int, q: int, d: int) -> list[str]:
     non-residue mod p and mod q.  p, q and d must be integers (a bool is
     not one), named and checked no further otherwise, and below 2^64,
     where primality (and so the squarefree test of d) is decided
-    deterministically.
+    deterministically.  The conditions on p and d alone are decided once
+    per integer pair (p, d).
     """
-    reasons: list[str] = []
-    p_ok = type(p) is int and 3 < p < _PRIME_BOUND and is_prime(p)
-    if type(p) is not int:
-        reasons.append("p must be an integer")
-    elif p >= _PRIME_BOUND:
-        reasons.append("p must be below 2^64")
-    elif not p_ok:
-        reasons.append("p must be a prime greater than 3")
+    pd = _pd_conditions_cached if type(p) is int and type(d) is int else _pd_conditions
+    p_ok, d_ok, p_reasons, d_reasons, residue = pd(p, d)
+    reasons = list(p_reasons)
     q_ok = type(q) is int and 3 <= q < _PRIME_BOUND and q % 2 == 1 and is_prime(q)
     if type(q) is not int:
         reasons.append("q must be an integer")
@@ -118,33 +123,13 @@ def family_violations(p: int, q: int, d: int) -> list[str]:
         reasons.append("q must be distinct from p")
     if p_ok and q_ok and q != p and (q + 1) % p != 0:
         reasons.append("q must be congruent to -1 modulo p")
-    d_ok = type(d) is int and 1 <= d < _PRIME_BOUND
-    if type(d) is not int:
-        reasons.append("d must be an integer")
-    elif d >= _PRIME_BOUND:
-        reasons.append("d must be below 2^64")
-    elif not d_ok:
-        reasons.append("d must be a positive integer")
-    elif d > 1 and not _squarefree(d):
-        reasons.append("d must be squarefree")
-        d_ok = False
-    if d_ok and p_ok and d % p == 0:
-        reasons.append("d must not be divisible by p")
+    reasons += d_reasons
     if d_ok and q_ok and d % q == 0:
         reasons.append("d must not be divisible by q")
-    if d_ok and p_ok and d % p != 0 and kronecker(-d, p) != -1:
-        reasons.append("-d must be a quadratic non-residue modulo p")
+    reasons += residue
     if d_ok and q_ok and q != p and d % q != 0 and kronecker(-d, q) != -1:
         reasons.append("-d must be a quadratic non-residue modulo q")
     return reasons
-
-
-def validate_family(p: int, q: int, d: int) -> FamilyParams:
-    """Validated FamilyParams, or FamilyValidationError naming all failures."""
-    reasons = family_violations(p, q, d)
-    if reasons:
-        raise FamilyValidationError(reasons)
-    return FamilyParams(p=p, q=q, d=d)
 
 
 @dataclass(frozen=True)
@@ -263,20 +248,6 @@ def _unit_square_residue_order(x: int, den: int, q: int) -> int:
     return mult_order(r2, q)
 
 
-def alpha_S(params: FamilyParams) -> int:
-    """The 0/1 weight of the single tame place above q.
-
-    The weight is 1 iff the p-th roots of unity miss the completion of the
-    real subfield (p does not divide q - 1) but appear in the completion of
-    the quartic field (p divides q**2 - 1).  Both hold on the family, where
-    q = -1 (mod p), so the value is 1 for every valid FamilyParams.
-    """
-    p, q = params.p, params.q
-    in_real_completion = mu_p_in_local(q, p)
-    in_quartic_completion = mu_p_in_local(q * q, p)
-    return 1 if (not in_real_completion and in_quartic_completion) else 0
-
-
 @dataclass(frozen=True)
 class FreenessReport:
     """Freeness certificate for Q(sqrt(pq), sqrt(-d)).
@@ -296,6 +267,33 @@ class FreenessReport:
     facts: dict[str, Any] = dataclass_field(default_factory=dict)
     reasons: tuple[str, ...] = ()
     invalid: tuple[str, ...] = ()
+
+    def __init__(
+        self,
+        p: int,
+        q: int,
+        d: int,
+        verdict: str,
+        rank: int | None,
+        mode: str,
+        facts: dict[str, Any] | None = None,
+        reasons: tuple[str, ...] = (),
+        invalid: tuple[str, ...] = (),
+    ) -> None:
+        # the fields in one update of the instance dict, where the __init__
+        # a frozen dataclass generates calls object.__setattr__ per field: a
+        # scan builds one report per candidate
+        vars(self).update(
+            p=p,
+            q=q,
+            d=d,
+            verdict=verdict,
+            rank=rank,
+            mode=mode,
+            facts={} if facts is None else facts,
+            reasons=reasons,
+            invalid=invalid,
+        )
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -437,9 +435,13 @@ def _gather(p: int, q: int, d: int, exact: bool, facts: dict[str, Any]) -> Itera
     # q has residue degree 2 in K (section 5 of the docs), and K never
     # contains mu_p for p >= 5 (section 4.4)
     facts["s"] = tower_places(q, 2, p)
-    facts["alpha_S"] = alpha_S(FamilyParams(p=p, q=q, d=d))
+    # the tame weight of the place above q (section 6, item 6): mu_p misses
+    # the completion of Q(sqrt(pq)), of residue size q, and lives in that
+    # of K, of residue size q**2 (section 4.4)
+    in_quartic_completion = (q * q - 1) % p == 0
+    facts["alpha_S"] = 1 if (q - 1) % p != 0 and in_quartic_completion else 0
     facts["mu_p_in_K"] = False
-    facts["mu_p_in_local_at_q"] = mu_p_in_local(q * q, p)
+    facts["mu_p_in_local_at_q"] = in_quartic_completion
     yield
 
     # stage 2: imaginary subfield class numbers; the large discriminant

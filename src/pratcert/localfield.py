@@ -1,6 +1,5 @@
 """Local tests at primes p >= 5: splitting type, p-th power criteria for
-units, roots of unity in local fields, and place counts along cyclotomic
-towers.
+units, and place counts along cyclotomic towers.
 
 Every criterion reduces to finite congruences modulo p**2, after the
 Teichmuller part of a unit has been killed by raising it to the residue
@@ -23,7 +22,6 @@ __all__ = [
     "LocalContext",
     "classify_splitting",
     "is_pth_power_local",
-    "mu_p_in_local",
     "tower_places",
 ]
 
@@ -115,17 +113,6 @@ def is_pth_power_local(u: QuadElem, ctx: LocalContext) -> tuple[bool, ...]:
     if abs(u.norm()) != 1:
         raise ValueError("the local p-th power test expects a unit of norm +-1")
     return _pth_power_flags(u.x, u.y, u.den, ctx)
-
-
-def mu_p_in_local(t: int, p: int) -> bool:
-    """Whether mu_p lies in the unramified local field with residue size t.
-
-    Tame criterion: the p-th roots of unity live in the field iff p | t - 1.
-    """
-    _require_p(p)
-    if t < 2:
-        raise ValueError("t must be a prime power >= 2")
-    return (t - 1) % p == 0
 
 
 def tower_places(q: int, f: int, p: int) -> int:

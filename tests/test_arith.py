@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from pratcert import arith
 from pratcert.arith import (
     Factorization,
     factor,
@@ -301,16 +302,36 @@ def test_mult_order_rejects_shared_factor():
 
 def test_mult_order_matches_naive_loop():
     rng = random.Random(13)
+    cases = []
     for _ in range(100):
         m = rng.randrange(3, 2000)
-        a = rng.randrange(1, m)
+        cases.append((rng.randrange(1, m), m))
+        # a = 1 (mod m), which has order 1 before any factoring
+        cases.append((1 + m * rng.randrange(0, 5), m))
+    # prime moduli, whose Carmichael value is read as m - 1
+    for m in (2, 3, 5, 7, 13, 97, 1009, 1999):
+        cases += [(rng.randrange(1, m), m), (m + 1, m), (m - 1, m)]
+    for a, m in cases:
         if math.gcd(a, m) != 1:
             continue
         k, x = 1, a % m
         while x != 1:
             x = x * a % m
             k += 1
-        assert mult_order(a, m) == k
+        assert mult_order(a, m) == k, (a, m)
+
+
+def test_mult_order_at_a_prime_factors_only_its_predecessor(monkeypatch):
+    # the order divides q - 1 at a prime q: q itself is not factored
+    calls = []
+    monkeypatch.setattr(arith, "factor", lambda n: calls.append(n) or factor(n))
+    for q in (1_000_003, 1_000_000_007):
+        assert is_prime(q)
+        calls.clear()
+        order = mult_order(4, q)
+        assert calls == [q - 1]
+        assert pow(4, order, q) == 1 and (q - 1) % order == 0
+        assert all(pow(4, order // r, q) != 1 for r, _ in factor(order).factors)
 
 
 def test_primes_up_to():

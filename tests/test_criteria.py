@@ -7,15 +7,14 @@ import sys
 
 import pytest
 
+from pratcert import arith, criteria
 from pratcert.arith import is_prime, padic_valuation
 from pratcert.criteria import (
     CERTIFIED_FREE,
     NOT_CERTIFIED,
-    FamilyParams,
-    FamilyValidationError,
     FreenessReport,
-    alpha_S,
     RANK,
+    _gather,
     _unit_facts,
     certify_freeness,
     family_violations,
@@ -23,7 +22,6 @@ from pratcert.criteria import (
     prat_biquad,
     prat_imag,
     prat_real,
-    validate_family,
 )
 from pratcert.quadratic import GE3, QuadElem, fundamental_unit, make_field
 from pratcert.scan import record_for, scan_records
@@ -43,6 +41,7 @@ def _shifted_norm(u: QuadElem, s: int) -> int:
 
 def test_family_violations_golden_is_clean():
     assert family_violations(*GOLDEN) == []
+    assert family_violations(5, 149, 2) == []
 
 
 def test_family_violations_by_name():
@@ -61,16 +60,67 @@ def test_family_violations_by_name():
     assert "-d must be a quadratic non-residue modulo q" in family_violations(7, 41, 2)
 
 
-def test_validate_family_round_trip():
-    params = validate_family(*GOLDEN)
-    assert (params.p, params.q, params.d) == GOLDEN
+def test_family_violations_names_every_failure_in_order():
+    # the reasons on (p, d) alone and those on q interleave in the order of
+    # the conditions
+    assert family_violations(7, 14, 14) == [
+        "q must be an odd prime",
+        "d must not be divisible by p",
+    ]
+    assert family_violations(4, 15, 12) == [
+        "p must be a prime greater than 3",
+        "q must be an odd prime",
+        "d must be squarefree",
+    ]
+    assert family_violations(5, 3, 6) == [
+        "q must be congruent to -1 modulo p",
+        "d must not be divisible by q",
+        "-d must be a quadratic non-residue modulo p",
+    ]
+    assert family_violations(5, 3, 11) == [
+        "q must be congruent to -1 modulo p",
+        "-d must be a quadratic non-residue modulo p",
+        "-d must be a quadratic non-residue modulo q",
+    ]
+    assert family_violations(5, 3, 15) == [
+        "q must be congruent to -1 modulo p",
+        "d must not be divisible by p",
+        "d must not be divisible by q",
+    ]
 
 
-def test_validate_family_raises_with_all_reasons():
-    with pytest.raises(FamilyValidationError) as info:
-        validate_family(7, 14, 14)
-    assert "q must be an odd prime" in info.value.reasons
-    assert "d must not be divisible by p" in info.value.reasons
+def test_family_violations_names_parameters_that_are_not_integers():
+    # the conditions on (p, d) are cached for integers only: a list or a set
+    # is unhashable, and a bool would find the entry of its integer
+    assert family_violations([5], 19, 2) == [
+        "p must be an integer",
+        "-d must be a quadratic non-residue modulo q",
+    ]
+    assert family_violations(5, 19, {2}) == ["d must be an integer"]
+    assert family_violations(1, 19, 2) == [
+        "p must be a prime greater than 3",
+        "-d must be a quadratic non-residue modulo q",
+    ]
+    assert family_violations(True, 19, 2) == [
+        "p must be an integer",
+        "-d must be a quadratic non-residue modulo q",
+    ]
+    assert family_violations(5, 19, True) == ["d must be an integer"]
+    assert family_violations(5, 19.0, 2) == ["q must be an integer"]
+
+
+def test_family_violations_decides_p_and_d_once_per_pair(monkeypatch):
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(criteria, "is_prime", counting_is_prime)
+    p, d = 1_000_003, 2  # a prime no other test asks about
+    for q in (1_000_003 * 2 - 1, 1_000_003 * 4 - 1, 19, 7):
+        family_violations(p, q, d)
+    assert calls.count(p) == 1
 
 
 def test_prat_imag_examples():
@@ -137,11 +187,41 @@ def test_prat_biquad_rejects_degenerate_pair():
         prat_biquad(8, 2, 7)
 
 
+def _stage_one(p, q, d):
+    facts = {}
+    next(_gather(p, q, d, False, facts))
+    return facts
+
+
 def test_alpha_s_values():
-    assert alpha_S(validate_family(*GOLDEN)) == 1
-    # outside the family (q = 1 mod p), mu_p already lives in the completion
-    # of the real subfield, so the weight drops to 0
-    assert alpha_S(FamilyParams(p=7, q=29, d=2)) == 0
+    # the fact is the tame weight of the place above q: mu_p misses the
+    # completion of the real subfield (residue size q) and lives in that of
+    # K (residue size q**2); on the family, q = -1 (mod p) gives 1
+    for p, q, d in (GOLDEN, (5, 149, 2), (431, 1723, 2)):
+        assert (q - 1) % p != 0 and (q * q - 1) % p == 0
+        facts = _stage_one(p, q, d)
+        assert facts["alpha_S"] == 1 and facts["mu_p_in_local_at_q"] is True
+    # outside the family: with q = 1 (mod p) mu_p already lives in the
+    # completion of the real subfield, and with q**2 != 1 (mod p) it misses
+    # both completions, so the weight drops to 0
+    facts = _stage_one(7, 29, 2)
+    assert facts["alpha_S"] == 0 and facts["mu_p_in_local_at_q"] is True
+    facts = _stage_one(7, 11, 2)
+    assert facts["alpha_S"] == 0 and facts["mu_p_in_local_at_q"] is False
+    assert list(facts) == ["s", "alpha_S", "mu_p_in_K", "mu_p_in_local_at_q"]
+
+
+def test_stage_one_factors_nothing(monkeypatch):
+    certify_freeness(5, 149, 2, lazy=True)  # warms the cache of (p, d)
+    calls = []
+    for module in (arith, criteria):
+        real = module.factor
+        monkeypatch.setattr(
+            module, "factor", lambda n, real=real: calls.append(n) or real(n)
+        )
+    report = certify_freeness(5, 149, 2, lazy=True)
+    assert report.reasons == ("s = 5, need a single stable place above q in the tower",)
+    assert calls == []
 
 
 def test_direct_summand_check_golden():

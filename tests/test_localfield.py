@@ -10,9 +10,9 @@ from pratcert.localfield import (
     LocalContext,
     classify_splitting,
     is_pth_power_local,
-    mu_p_in_local,
     tower_places,
 )
+from pratcert.arith import is_prime
 from pratcert.quadratic import QuadElem, fundamental_unit, make_field
 from _oracles import pth_power_oracle, stabilized_place_count, unit_power
 
@@ -166,16 +166,6 @@ def test_ramified_oracle_rejects_wrong_inputs():
         pth_power_oracle(eps.x, eps.y, eps.den, 33, 11)
 
 
-def test_mu_p_in_local_examples():
-    assert mu_p_in_local(169, 7)
-    assert not mu_p_in_local(13, 7)
-    assert mu_p_in_local(8, 7)
-    with pytest.raises(ValueError):
-        mu_p_in_local(1, 7)
-    with pytest.raises(ValueError):
-        mu_p_in_local(13, 4)
-
-
 def test_tower_places_examples():
     assert tower_places(13, 2, 7) == 1
     assert tower_places(97, 2, 7) == 7
@@ -212,3 +202,18 @@ def test_tower_places_matches_layer_oracle_sample():
     ]
     for q, f, p in cases:
         assert tower_places(q, f, p) == stabilized_place_count(q, f, p), (q, f, p)
+
+
+def test_tower_places_matches_layer_oracle_on_large_family_q():
+    # q = -1 (mod p) gives t = q**2 = 1 (mod p), whose order 1 mult_order
+    # returns without factoring; seeded q in each decade from 10^6 to 10^9,
+    # half of them also -1 (mod p**2), where s = p
+    rng = random.Random(22)
+    for p in (5, 7, 13):
+        for low in (10**6, 10**7, 10**8):
+            for step in (p, p * p):
+                q = rng.randrange(2 * low, 10 * low) // step * step - 1
+                while not is_prime(q):
+                    q -= step
+                assert low <= q < 10 * low and (q + 1) % step == 0
+                assert tower_places(q, 2, p) == stabilized_place_count(q, 2, p), (q, p)

@@ -330,6 +330,21 @@ def test_cache_load_factors_d_once(tmp_path, monkeypatch) -> None:
     assert calls.count(6) <= 1
 
 
+def test_cache_load_proves_p_prime_once(tmp_path, monkeypatch) -> None:
+    # every invalid line re-checks the family conditions of its (p, q, d),
+    # and those on p and d alone are decided once per pair, not per line
+    cache = tmp_path / "scan.jsonl"
+    records = scan_records(7, 2, 3000, cache=str(cache))
+    assert sum("invalid" in rec.facts for rec in records) > 30
+    calls = []
+    real_is_prime = criteria.is_prime
+    monkeypatch.setattr(criteria, "is_prime", lambda n: calls.append(n) or real_is_prime(n))
+    for _ in range(3):
+        calls.clear()
+        assert scan_records(7, 2, 3000, cache=str(cache)) == records
+        assert calls.count(7) <= 1
+
+
 def test_resumed_records_hold_the_programs_own_strings(tmp_path) -> None:
     cache = tmp_path / "scan.jsonl"
     fresh = scan_records(5, 2, 500, cache=str(cache))
