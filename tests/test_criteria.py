@@ -211,6 +211,36 @@ def test_alpha_s_values():
     assert list(facts) == ["s", "alpha_S", "mu_p_in_K", "mu_p_in_local_at_q"]
 
 
+def test_valid_triple_round_trips_through_the_certificate():
+    # a triple the guard accepts reaches the report unchanged, with no
+    # violations and the stage-1 facts computed
+    for p, q, d in (GOLDEN, (5, 149, 2)):
+        assert family_violations(p, q, d) == []
+        report = certify_freeness(p, q, d, lazy=True)
+        assert (report.p, report.q, report.d) == (p, q, d)
+        assert report.invalid == ()
+        assert report.facts["alpha_S"] == 1
+
+
+def test_mu_p_in_local_at_q_reads_the_quartic_congruence():
+    # mu_p lies in the unramified completion with residue size t iff
+    # p | t - 1; the fact takes t = q**2: 13**2 = 1 (mod 7) while 13 is not,
+    # and 29**2 = 1 (mod 7) off the family as well
+    assert (169 - 1) % 7 == 0 and (13 - 1) % 7 != 0
+    assert _stage_one(7, 13, 2)["mu_p_in_local_at_q"] is True
+    assert _stage_one(7, 29, 2)["mu_p_in_local_at_q"] is True
+    assert _stage_one(7, 11, 2)["mu_p_in_local_at_q"] is False
+    # a p that is not a prime > 3, or a q that is not prime, is refused by
+    # the family guard before any local fact is read
+    for args, reason in (
+        ((4, 13, 2), "p must be a prime greater than 3"),
+        ((7, 1, 2), "q must be an odd prime"),
+    ):
+        report = certify_freeness(*args)
+        assert reason in report.invalid
+        assert "mu_p_in_local_at_q" not in report.facts
+
+
 def test_stage_one_factors_nothing(monkeypatch):
     certify_freeness(5, 149, 2, lazy=True)  # warms the cache of (p, d)
     calls = []
