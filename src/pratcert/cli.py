@@ -1,8 +1,8 @@
 """Command line surface: certification checks, scans, table reproduction,
 and low-level quadratic-field utilities.
 
-Exit codes: 0 for answers (a NOT_CERTIFIED verdict, or a table row naming a
-refused p), 2 for invalid input, 1 for internal errors, in a table row too.
+Exit codes: 0 for answers (a NOT_CERTIFIED verdict too), 2 for invalid
+input (a table with one bad p too), 1 for internal errors.
 Output is deterministic: no timings, hostnames or worker counts reach stdout.
 """
 
@@ -102,20 +102,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
     payload = {
         "d": args.d,
         "q_max": args.q_max,
-        "rows": [{"p": r.p, "certified_q": list(r.certified), "error": r.error} for r in table],
+        "rows": [{"p": r.p, "certified_q": list(r.certified)} for r in table],
     }
-    # an error row certifies nothing: CSV leaves it out and names it on stderr
     rows = [["p", "d", "q"]] + [[r.p, args.d, q] for r in table for q in r.certified]
-    lines = [
-        f"p={r.p}: error: {r.error}"
-        if r.error is not None
-        else f"p={r.p}: " + " ".join(str(q) for q in r.certified)
-        for r in table
-    ]
-    if args.format == "csv":
-        for r in table:
-            if r.error is not None:
-                print(f"error: p={r.p}: {r.error}", file=sys.stderr)
+    lines = [f"p={r.p}: " + " ".join(str(q) for q in r.certified) for r in table]
     return _emit(args.format, payload, rows, lines)
 
 

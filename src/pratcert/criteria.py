@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ._version import __version__
-from .arith import _PRIME_BOUND, factor, is_prime, kronecker, mult_order, padic_valuation
+from .arith import _PRIME_BOUND, factor, is_prime, kronecker, padic_valuation
 from .classno import h_imaginary, h_plus_real
 from .localfield import (
     LocalContext,
@@ -106,8 +106,10 @@ def family_violations(p: int, q: int, d: int) -> list[str]:
     non-residue mod p and mod q.  p, q and d must be integers (a bool is
     not one), named and checked no further otherwise, and below 2^64,
     where primality (and so the squarefree test of d) is decided
-    deterministically.  The conditions on p and d alone are decided once
-    per integer pair (p, d).
+    deterministically.  Last, when p, q and d each pass on their own,
+    4*d*p*q must be below 2^64: it bounds the discriminants -dpq and pq
+    (and -d) whose class numbers the certificate computes.  The conditions
+    on p and d alone are decided once per integer pair (p, d).
     """
     pd = _pd_conditions_cached if type(p) is int and type(d) is int else _pd_conditions
     p_ok, d_ok, p_reasons, d_reasons, residue = pd(p, d)
@@ -129,6 +131,8 @@ def family_violations(p: int, q: int, d: int) -> list[str]:
     reasons += residue
     if d_ok and q_ok and q != p and d % q != 0 and kronecker(-d, q) != -1:
         reasons.append("-d must be a quadratic non-residue modulo q")
+    if p_ok and q_ok and d_ok and 4 * d * p * q >= _PRIME_BOUND:
+        reasons.append("4*d*p*q must be below 2^64")
     return reasons
 
 
@@ -238,14 +242,19 @@ def prat_biquad(m1: int, m2: int, p: int) -> PRationalityReport:
     )
 
 
-def _unit_square_residue_order(x: int, den: int, q: int) -> int:
-    # order of eps**2 mod the ramified prime above q; sqrt(pq) vanishes
-    # there, so only the rational coordinate survives
+def _unit_square_order_prime_to_p(x: int, den: int, q: int, p: int) -> bool:
+    # whether p misses the order of eps**2 mod the ramified prime above q,
+    # where sqrt(pq) vanishes, so only the rational coordinate survives; the
+    # order divides q - 1, so p misses it iff eps**2 dies in the power that
+    # strips the p-part from q - 1
     r = x * pow(den, -1, q) % q
     r2 = r * r % q
     if r2 == 0:
         raise ArithmeticError("a unit cannot vanish at an unramified coordinate")
-    return mult_order(r2, q)
+    m = q - 1
+    while m % p == 0:
+        m //= p
+    return pow(r2, m, q) == 1
 
 
 @dataclass(frozen=True)
@@ -424,7 +433,7 @@ def _unit_facts(p: int, q: int, field: QuadField, elem: QuadElem | None) -> dict
     facts["unit_pth_power_at_p"] = _pth_power_flags(x, y, den, ctx)[0]
     facts["v_p_val"] = v_p
     facts["v_q_val"] = v_q
-    facts["e_s_generated"] = _unit_square_residue_order(x, den, q) % p != 0
+    facts["e_s_generated"] = _unit_square_order_prime_to_p(x, den, q, p)
     return facts
 
 
@@ -484,7 +493,8 @@ def certify_freeness(
     recording the facts computed so far.
 
     Parameter violations produce a NOT_CERTIFIED report with the violations
-    in ``invalid``; no exception escapes for bad (p, q, d).
+    in ``invalid``; no exception escapes for bad (p, q, d).  That includes a
+    family triple with 4*d*p*q >= 2^64, beyond the class numbers' limit.
     """
     mode_requested = "exact" if exact else "fast"
     violations = family_violations(p, q, d)

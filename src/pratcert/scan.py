@@ -296,28 +296,22 @@ def scan_q(
 
 @dataclass(frozen=True)
 class TableRow:
-    """One table row: certified q values for a single p, or an error note."""
+    """One table row: the certified q values for a single p."""
 
     p: int
     certified: tuple[int, ...]
-    error: str | None
 
 
 def reproduce_table(
     p_list: list[int], q_max: int, d: int, *, jobs: int = 1
 ) -> list[TableRow]:
-    """One row per p; a refused p gets its ValueError as the row's error,
-    and the rest go on.  A bad q_max or jobs, or a d that is not an integer,
-    raises ValueError for the whole table; any other error propagates."""
+    """One row per p.  Every p, q_max, jobs and the type of d are checked
+    before any scan runs: a bad one raises ValueError for the whole table,
+    and names the p if it is one."""
     _require_scan_bounds(d, q_max, jobs)
-    rows: list[TableRow] = []
     for p in p_list:
         try:
-            qs = scan_q(p, d, q_max, jobs=jobs)
+            _require_p(p)
         except ValueError as exc:
-            rows.append(
-                TableRow(p=p, certified=(), error=f"{type(exc).__name__}: {exc}")
-            )
-        else:
-            rows.append(TableRow(p=p, certified=tuple(qs), error=None))
-    return rows
+            raise ValueError(f"p={p}: {exc}") from None
+    return [TableRow(p=p, certified=tuple(scan_q(p, d, q_max, jobs=jobs))) for p in p_list]

@@ -129,16 +129,20 @@ def test_scan_rejects_bad_p(capsys) -> None:
     assert "error: p must be a prime >= 5" in err
 
 
-def test_table_text_and_error_rows(capsys) -> None:
-    # a refused p ahead of a valid one: its error row does not stop the rest
-    code, out, err = run(capsys, ["table", "--p-list", "4,7", "--d", "2", "--q-max", "150"])
-    assert (code, err) == (EXIT_OK, "")
-    assert out.splitlines() == ["p=4: error: ValueError: p must be a prime >= 5", "p=7: 13"]
+def test_table_with_a_bad_p_exits_usage_in_every_format(capsys) -> None:
+    # one refused p refuses the whole table, as scan --p 4 does, wherever
+    # it stands in the list
+    for p_list in ("4,7", "5,7,4"):
+        for fmt in ("text", "json", "csv"):
+            argv = ["table", "--p-list", p_list, "--d", "2", "--q-max", "150", "--format", fmt]
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (EXIT_USAGE, ""), fmt
+            assert err == "error: p=4: p must be a prime >= 5\n", fmt
 
 
 def test_table_internal_error_in_a_row_exits_internal(capsys, monkeypatch) -> None:
-    # only a refused p makes an error row; any other exception in a row is
-    # an internal error, whatever the format
+    # an exception while a row is scanned is an internal error, whatever
+    # the format
     def broken_scan_q(p, d, q_max, *, jobs=1):
         raise RuntimeError("scan failed")
 
@@ -170,8 +174,8 @@ def test_table_json_shape(capsys) -> None:
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["rows"] == [
-        {"p": 5, "certified_q": [79, 109], "error": None},
-        {"p": 7, "certified_q": [13], "error": None},
+        {"p": 5, "certified_q": [79, 109]},
+        {"p": 7, "certified_q": [13]},
     ]
 
 

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import math
+import random
 import re
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pratcert import arith, criteria
-from pratcert.arith import is_prime, padic_valuation
+from pratcert.arith import _PRIME_BOUND, is_prime, padic_valuation
 from pratcert.criteria import (
     CERTIFIED_FREE,
     NOT_CERTIFIED,
@@ -25,7 +28,7 @@ from pratcert.criteria import (
 )
 from pratcert.quadratic import GE3, QuadElem, fundamental_unit, make_field
 from pratcert.scan import record_for, scan_records
-from _oracles import unit_power
+from _oracles import _order_mod, brute_factor, cf_unit_oracle, pth_power_oracle, unit_power
 
 GOLDEN = (7, 13, 2)
 
@@ -354,8 +357,31 @@ def test_certify_beyond_64_bits_is_an_invalid_report():
     ]
     # 2^64 + 13 has a cofactor above 2^64 that is_prime would refuse
     assert family_violations(7, 13, 2**64 + 13) == ["d must be below 2^64"]
-    # the largest prime below 2^64 is a member for p = 7, d = 2
-    assert family_violations(7, 2**64 - 59, 2) == []
+    # the largest prime below 2^64 meets every other condition for p = 7,
+    # d = 2, but the discriminants of the certificate would not fit
+    assert family_violations(7, 2**64 - 59, 2) == ["4*d*p*q must be below 2^64"]
+    report = certify_freeness(7, 2**64 - 59, 2)
+    assert report.invalid == ("4*d*p*q must be below 2^64",)
+    assert report.facts == {}
+
+
+def test_family_names_the_limit_of_the_class_numbers_last():
+    # 4*d*p*q bounds |disc| of -d, -dpq and pq; the reason comes after every
+    # other, and only when p, q and d each pass on their own
+    edge = _PRIME_BOUND // (4 * 2 * 7)
+    below = next(q for q in range(edge, 0, -1) if (q + 1) % 7 == 0 and is_prime(q))
+    above = next(q for q in range(edge + 1, _PRIME_BOUND) if (q + 1) % 7 == 0 and is_prime(q))
+    assert 4 * 2 * 7 * below < _PRIME_BOUND <= 4 * 2 * 7 * above
+    assert "4*d*p*q must be below 2^64" not in family_violations(7, below, 2)
+    assert family_violations(7, above, 2)[-1] == "4*d*p*q must be below 2^64"
+    other = next(q for q in range(above + 2, _PRIME_BOUND, 2) if (q + 1) % 7 and is_prime(q))
+    reasons = family_violations(7, other, 2)
+    assert reasons[0] == "q must be congruent to -1 modulo p"
+    assert reasons[-1] == "4*d*p*q must be below 2^64"
+    for p, q, d in ((7, above, 4), (7, above + 1, 2), (8, above, 2), (7, 2**64 + 13, 2)):
+        assert "4*d*p*q must be below 2^64" not in family_violations(p, q, d), (p, q, d)
+    # the parent guard let this triple through to a root table of gigabytes
+    assert family_violations(7, 13, 2**64 - 1) == ["4*d*p*q must be below 2^64"]
 
 
 @pytest.mark.parametrize(
@@ -406,6 +432,130 @@ def test_certify_verdict_invariant_under_unit_renormalization():
 def test_certify_rejects_substitute_unit_in_wrong_field():
     with pytest.raises(ValueError):
         _unit_facts(7, 13, make_field(91), QuadElem(make_field(11), 10, 3))
+
+
+def test_e_s_generated_is_one_power_against_the_whole_order():
+    # p misses ord(r^2) mod q iff (r^2)^m = 1, m the p-free part of q - 1;
+    # half the draws take q = 1 (mod p), where p | q - 1 and both answers occur
+    rng = random.Random(23)
+    primes = [p for p in range(5, 432) if is_prime(p)]
+    answers = {True: 0, False: 0}
+    for _ in range(1500):
+        p = rng.choice(primes)
+        while True:
+            q = rng.randrange(7, 10**6)
+            if rng.random() < 0.5:
+                q += (1 - q) % p
+            if q != p and is_prime(q):
+                break
+        x, den = rng.randrange(1, q), rng.choice((1, 2))
+        r = x * pow(den, -1, q) % q
+        expected = arith.mult_order(r * r % q, q) % p != 0
+        assert criteria._unit_square_order_prime_to_p(x, den, q, p) is expected, (p, q, x, den)
+        answers[expected] += 1
+    assert min(answers.values()) >= 300, answers
+    with pytest.raises(ArithmeticError):
+        criteria._unit_square_order_prime_to_p(2 * 13, 1, 13, 7)
+
+
+def test_unit_facts_factor_nothing(monkeypatch):
+    # stage 4 read e_s_generated off the whole order of eps**2, and so
+    # factored q - 1 unless eps**2 = 1 (mod q), that is unless N(eps) = 1;
+    # one power decides it.  The fundamental unit of Q(sqrt(5 * 1000249))
+    # has norm -1
+    q = 1000249
+    field = make_field(5 * q)
+    calls = []
+    for module in (arith, criteria):
+        real = module.factor
+        monkeypatch.setattr(module, "factor", lambda n, real=real: calls.append(n) or real(n))
+    facts = _unit_facts(5, q, field, None)
+    assert (facts["unit_norm"], facts["e_s_generated"]) == (-1, True)
+    assert calls == []
+
+
+_LIMIT = "4*d*p*q must be below 2^64"
+_TABLE_PRIMES = (5, 7, 13, 29, 431)
+# bad p: not prime, too small, negative, not an int, beyond 2^64
+_BAD_P = (4, 9, 1, 0, 3, -7, True, False, 5.0, 7.5, 2**64 + 13, 2**65)
+
+
+@st.composite
+def _triples(draw):
+    # q below 10^4 or at least 2^64 / (4dp), never in between: no draw sends
+    # a discriminant near 2^64 through the class numbers
+    p = draw(st.one_of(st.sampled_from(_TABLE_PRIMES), st.sampled_from(_BAD_P)))
+    d = draw(st.integers(min_value=-3, max_value=30))
+    big = draw(st.booleans())
+    if big:
+        low = -(-_PRIME_BOUND // (4 * max(d, 1) * max(int(p), 1)))
+        q = draw(st.integers(min_value=low, max_value=2**65))
+        top = _PRIME_BOUND
+    else:
+        q = draw(st.integers(min_value=-3, max_value=10**4 - 1))
+        top = 10**4
+    if type(p) is int and p in _TABLE_PRIMES and q > 0 and draw(st.integers(0, 3)):
+        # step to the next q that fails no condition but the limit on 4dpq,
+        # if d allows one: a small draw then reaches the class numbers, and
+        # a big one meets the limit alone
+        family = range(q + (-1 - q) % p, min(top, q + 1000 * p), p)
+        members = (c for c in family if family_violations(p, c, d) in ([], [_LIMIT]))
+        q = next(members, q)
+    return p, q, d, big
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(_triples())
+@example((7, 2**64 - 59, 2, True))
+@example((5, 461168601842739359, 2, True))
+@example((7, 13, 2, False))
+def test_no_exception_escapes_the_certificate(triple):
+    p, q, d, big = triple
+    for exact in (True, False):
+        for lazy in (True, False):
+            report = certify_freeness(p, q, d, exact=exact, lazy=lazy)
+            assert isinstance(report, FreenessReport)
+            # beyond 2^64 / (4dp) every triple is refused before stage 1
+            assert not big or (report.invalid and report.facts == {}), triple
+    rec = record_for(p, q, d)
+    assert (rec.verdict, rec.rank) == (report.verdict, report.rank)
+
+
+def _valuation_capped(w: int, ell: int) -> int | str:
+    v = 0
+    while w % ell == 0:
+        w //= ell
+        v += 1
+    return GE3 if v >= 3 else v
+
+
+def test_fast_unit_facts_match_the_oracles_at_the_scale_of_the_scans():
+    # seeded family q (p = 5, d = 2) near 10^6, 10^7, 10^8 and 10^9, 6, 6, 4
+    # and 4 of them; near 10^9 the units have tens of thousands of bits, so
+    # none is ever printed
+    rng = random.Random(2026)
+    checked = 0
+    for k, count in ((6, 6), (7, 6), (8, 4), (9, 4)):
+        qs = set()
+        while len(qs) < count:
+            start = rng.randrange(10**k, 10**k + 10**k // 10)
+            qs.add(next(q for q in range(start, 2 * start) if family_violations(5, q, 2) == []))
+        for q in sorted(qs):
+            m = 5 * q
+            facts = _unit_facts(5, q, make_field(m), None)
+            x, y, den, norm, _ = cf_unit_oracle(m)
+            assert facts["unit_norm"] == norm, q
+            assert facts["unit_pth_power_at_p"] == pth_power_oracle(x, y, den, m, 5), q
+            trace = 2 * x // den
+            w = 2 + 2 * norm - trace * trace
+            assert facts["v_p_val"] == _valuation_capped(w, 5), q
+            assert facts["v_q_val"] == _valuation_capped(w, q), q
+            r = x * pow(den, -1, q) % q
+            order = _order_mod(r * r % q, q, q - 1)
+            assert q - 1 == math.prod(ell**e for ell, e in brute_factor(q - 1).items())
+            assert facts["e_s_generated"] is (order % 5 != 0), q
+            checked += 1
+    assert checked == 20
 
 
 def _cap_valuation_text(reason: str) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
 import sys
@@ -506,13 +507,24 @@ def test_certified_guard_rejects_congruence_violations() -> None:
     _validate_emitted(fake_record(7, 13, 2, CERTIFIED_FREE))
 
 
-def test_reproduce_table_rows_and_error_isolation() -> None:
-    assert reproduce_table([5], 0, 2) == [TableRow(p=5, certified=(), error=None)]
-    rows = reproduce_table([4, 7], 120, 2)
-    assert rows[0] == TableRow(
-        p=4, certified=(), error="ValueError: p must be a prime >= 5"
-    )
-    assert rows[1] == TableRow(p=7, certified=(13,), error=None)
+def test_reproduce_table_rows() -> None:
+    assert [f.name for f in dataclasses.fields(TableRow)] == ["p", "certified"]
+    assert reproduce_table([5], 0, 2) == [TableRow(p=5, certified=())]
+    assert reproduce_table([5, 7], 120, 2) == [
+        TableRow(p=5, certified=(79, 109)),
+        TableRow(p=7, certified=(13,)),
+    ]
+
+
+def test_reproduce_table_refuses_a_bad_p_before_any_scan(monkeypatch) -> None:
+    # once the family guard refuses what the class numbers cannot take, a
+    # bad p is the one way a row could raise: it refuses the whole table
+    calls = []
+    monkeypatch.setattr(scan, "scan_q", lambda *args, **kw: calls.append(args) or [])
+    for p_list, named in (([4, 7], "p=4"), ([7, 5, 9], "p=9"), ([5, 2.0], "p=2.0")):
+        with pytest.raises(ValueError, match=f"^{named}: p must be"):
+            reproduce_table(p_list, 120, 2)
+    assert calls == []
 
 
 def test_reproduce_table_refuses_bad_table_wide_flags() -> None:
