@@ -14,9 +14,8 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Iterator
+from typing import Any, Iterator
 
 __all__ = [
     "Factorization",
@@ -77,39 +76,82 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
+class _Record:
+    """Base of the package's immutable records.
+
+    A subclass names its fields in __slots__, in order, and its __init__
+    fills them through _setters, the slots' own __set__ bound once per
+    class (faster than object.__setattr__, and past the refusal below).
+    The base refuses later assignment and deletion, and compares, hashes,
+    shows and pickles a record by its slot values.
+    """
+
+    __slots__ = ()
+    _setters: tuple[Any, ...]
+
+    def __init_subclass__(cls) -> None:
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _values(self) -> tuple[Any, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return type(self), self._values()
+
+
+class Factorization(_Record):
     """Complete factorization of a nonzero integer, sign kept separate.
 
     ``n`` is the absolute value, ``factors`` lists (prime, exponent) with
     strictly increasing primes.
     """
 
-    n: int
-    sign: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "sign", "factors")
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.sign not in (-1, 1):
+    def __init__(self, n: int, sign: int, factors: tuple[tuple[int, int], ...]) -> None:
+        set_n, set_sign, set_factors = self._setters
+        set_n(self, n)
+        set_sign(self, sign)
+        set_factors(self, factors)
+        if n < 1 or sign not in (-1, 1):
             raise ValueError("n must be positive and sign must be +-1")
         prod = 1
         last = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= last or e < 1 or not is_prime(p):
                 raise ValueError("factors must be increasing (prime, exponent) pairs")
             last = p
             prod *= p**e
-        if prod != self.n:
+        if prod != n:
             raise ValueError("factor product does not equal n")
 
     @classmethod
     def _proven(cls, n: int, sign: int, factors: tuple[tuple[int, int], ...]) -> Factorization:
         # factor's own result, whose primes it has just proven: built without
-        # __post_init__, which would run is_prime on each of them again
+        # __init__, which would run is_prime on each of them again
         self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "factors", factors)
+        set_n, set_sign, set_factors = cls._setters
+        set_n(self, n)
+        set_sign(self, sign)
+        set_factors(self, factors)
         return self
 
     def is_squarefree(self) -> bool:

@@ -21,12 +21,11 @@ number formulas that cross-examine these counts live in the test suite
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
 from typing import Iterator
 
-from .arith import _PRIME_BOUND, _tonelli_shanks, factor, sqrt_mod_prime_power
+from .arith import _PRIME_BOUND, _Record, _tonelli_shanks, factor, sqrt_mod_prime_power
 
 __all__ = [
     "ClassNumberResult",
@@ -37,12 +36,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ClassNumberResult:
-    disc: int
-    h: int
-    h_plus: int | None
-    method: str
+class ClassNumberResult(_Record):
+    __slots__ = ("disc", "h", "h_plus", "method")
+
+    def __init__(self, disc: int, h: int, h_plus: int | None, method: str) -> None:
+        set_disc, set_h, set_h_plus, set_method = self._setters
+        set_disc(self, disc)
+        set_h(self, h)
+        set_h_plus(self, h_plus)
+        set_method(self, method)
 
 
 def is_fundamental_discriminant(d: int) -> bool:

@@ -14,12 +14,11 @@ spell this out (docs/algorithms.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ._version import __version__
-from .arith import _PRIME_BOUND, factor, is_prime, kronecker, padic_valuation
+from .arith import _PRIME_BOUND, _Record, factor, is_prime, kronecker, padic_valuation
 from .classno import h_imaginary, h_plus_real
 from .localfield import (
     LocalContext,
@@ -136,24 +135,37 @@ def family_violations(p: int, q: int, d: int) -> list[str]:
     return reasons
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(_Record):
     """One named fact with the value observed and whether it passed."""
 
-    name: str
-    value: Any
-    passed: bool
+    __slots__ = ("name", "value", "passed")
+
+    def __init__(self, name: str, value: Any, passed: bool) -> None:
+        set_name, set_value, set_passed = self._setters
+        set_name(self, name)
+        set_value(self, value)
+        set_passed(self, passed)
 
 
-@dataclass(frozen=True)
-class PRationalityReport:
+class PRationalityReport(_Record):
     """p-rationality verdict for a quadratic or biquadratic field."""
 
-    field_desc: str
-    radicands: tuple[int, ...]
-    p: int
-    checks: tuple[Check, ...]
-    verdict: bool
+    __slots__ = ("field_desc", "radicands", "p", "checks", "verdict")
+
+    def __init__(
+        self,
+        field_desc: str,
+        radicands: tuple[int, ...],
+        p: int,
+        checks: tuple[Check, ...],
+        verdict: bool,
+    ) -> None:
+        set_field_desc, set_radicands, set_p, set_checks, set_verdict = self._setters
+        set_field_desc(self, field_desc)
+        set_radicands(self, radicands)
+        set_p(self, p)
+        set_checks(self, checks)
+        set_verdict(self, verdict)
 
 
 def prat_imag(d0: int, p: int) -> PRationalityReport:
@@ -257,8 +269,7 @@ def _unit_square_order_prime_to_p(x: int, den: int, q: int, p: int) -> bool:
     return pow(r2, m, q) == 1
 
 
-@dataclass(frozen=True)
-class FreenessReport:
+class FreenessReport(_Record):
     """Freeness certificate for Q(sqrt(pq), sqrt(-d)).
 
     verdict is "certified_free" (with rank 2) when every hypothesis was
@@ -267,15 +278,7 @@ class FreenessReport:
     facts records every quantity the verdict consumed, keyed by name.
     """
 
-    p: int
-    q: int
-    d: int
-    verdict: str
-    rank: int | None
-    mode: str
-    facts: dict[str, Any] = dataclass_field(default_factory=dict)
-    reasons: tuple[str, ...] = ()
-    invalid: tuple[str, ...] = ()
+    __slots__ = ("p", "q", "d", "verdict", "rank", "mode", "facts", "reasons", "invalid")
 
     def __init__(
         self,
@@ -289,20 +292,20 @@ class FreenessReport:
         reasons: tuple[str, ...] = (),
         invalid: tuple[str, ...] = (),
     ) -> None:
-        # the fields in one update of the instance dict, where the __init__
-        # a frozen dataclass generates calls object.__setattr__ per field: a
-        # scan builds one report per candidate
-        vars(self).update(
-            p=p,
-            q=q,
-            d=d,
-            verdict=verdict,
-            rank=rank,
-            mode=mode,
-            facts={} if facts is None else facts,
-            reasons=reasons,
-            invalid=invalid,
-        )
+        # a scan builds one report per candidate, and _setters is the
+        # cheapest store that keeps the report frozen; facts=None gives each
+        # report a dict of its own
+        (set_p, set_q, set_d, set_verdict, set_rank, set_mode,
+         set_facts, set_reasons, set_invalid) = self._setters
+        set_p(self, p)
+        set_q(self, q)
+        set_d(self, d)
+        set_verdict(self, verdict)
+        set_rank(self, rank)
+        set_mode(self, mode)
+        set_facts(self, {} if facts is None else facts)
+        set_reasons(self, reasons)
+        set_invalid(self, invalid)
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -13,9 +13,7 @@ check the ramified criterion by exhaustion (tests/_oracles.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .arith import is_prime, mult_order, sqrt_mod_prime_power
+from .arith import _Record, is_prime, mult_order, sqrt_mod_prime_power
 from .quadratic import QuadElem, QuadField
 
 __all__ = [
@@ -26,19 +24,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LocalContext:
+class LocalContext(_Record):
     """How p >= 5 behaves in a quadratic field, with sqrt(m) mod p**2 when split."""
 
-    p: int
-    field: QuadField
-    kind: str
-    sqrt_lifts: tuple[int, int] | None
+    __slots__ = ("p", "field", "kind", "sqrt_lifts")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("split", "inert", "ramified"):
+    def __init__(
+        self, p: int, field: QuadField, kind: str, sqrt_lifts: tuple[int, int] | None
+    ) -> None:
+        set_p, set_field, set_kind, set_sqrt_lifts = self._setters
+        set_p(self, p)
+        set_field(self, field)
+        set_kind(self, kind)
+        set_sqrt_lifts(self, sqrt_lifts)
+        if kind not in ("split", "inert", "ramified"):
             raise ValueError("kind must be split, inert or ramified")
-        if (self.kind == "split") != (self.sqrt_lifts is not None):
+        if (kind == "split") != (sqrt_lifts is not None):
             raise ValueError("sqrt lifts are stored exactly for the split case")
 
 

@@ -26,10 +26,9 @@ Facts the implementation leans on (proofs in docs/algorithms.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
-from .arith import factor, unlimited_int_digits
+from .arith import _Record, factor, unlimited_int_digits
 
 __all__ = [
     "GE3",
@@ -51,18 +50,19 @@ def _discriminant(m: int) -> int:
     return m if m % 4 == 1 else 4 * m
 
 
-@dataclass(frozen=True, slots=True)
-class QuadField:
+class QuadField(_Record):
     """Q(sqrt(m)) for squarefree m != 0, 1, with its fundamental discriminant."""
 
-    m: int
-    disc: int
-    is_real: bool
+    __slots__ = ("m", "disc", "is_real")
 
-    def __post_init__(self) -> None:
-        if self.m in (0, 1) or not factor(self.m).is_squarefree():
+    def __init__(self, m: int, disc: int, is_real: bool) -> None:
+        set_m, set_disc, set_is_real = self._setters
+        set_m(self, m)
+        set_disc(self, disc)
+        set_is_real(self, is_real)
+        if m in (0, 1) or not factor(m).is_squarefree():
             raise ValueError("field radicand must be squarefree and not 0 or 1")
-        if self.disc != _discriminant(self.m) or self.is_real != (self.m > 0):
+        if disc != _discriminant(m) or is_real != (m > 0):
             raise ValueError("inconsistent field data")
 
 
@@ -73,33 +73,35 @@ def make_field(m0: int) -> QuadField:
     if m0 > 0 and isqrt(m0) ** 2 == m0:
         raise ValueError("radicand must not be a perfect square")
     m = factor(m0).squarefree_core()
-    # a verified factorization's core is squarefree: skip __post_init__'s
-    # re-check; the fields are slots, so they are set one by one
+    # a verified factorization's core is squarefree: skip __init__'s re-check
     field = object.__new__(QuadField)
-    for name, value in (("m", m), ("disc", _discriminant(m)), ("is_real", m > 0)):
-        object.__setattr__(field, name, value)
+    set_m, set_disc, set_is_real = QuadField._setters
+    set_m(field, m)
+    set_disc(field, _discriminant(m))
+    set_is_real(field, m > 0)
     return field
 
 
-@dataclass(frozen=True, slots=True)
-class QuadElem:
+class QuadElem(_Record):
     """(x + y sqrt(m)) / den with den in {1, 2}.
 
     den = 2 is the canonical shape of half-integral elements of the maximal
     order: it requires m = 1 (mod 4) and x, y both odd.
     """
 
-    field: QuadField
-    x: int
-    y: int
-    den: int = 1
+    __slots__ = ("field", "x", "y", "den")
 
-    def __post_init__(self) -> None:
-        if self.den == 1:
+    def __init__(self, field: QuadField, x: int, y: int, den: int = 1) -> None:
+        set_field, set_x, set_y, set_den = self._setters
+        set_field(self, field)
+        set_x(self, x)
+        set_y(self, y)
+        set_den(self, den)
+        if den == 1:
             return
-        if self.den != 2:
+        if den != 2:
             raise ValueError("den must be 1 or 2")
-        if self.field.m % 4 != 1 or self.x % 2 == 0 or self.y % 2 == 0:
+        if field.m % 4 != 1 or x % 2 == 0 or y % 2 == 0:
             raise ValueError("den = 2 requires m = 1 (mod 4) and odd x, y")
 
     @classmethod
@@ -142,17 +144,18 @@ class QuadElem:
         return f"({body})/2" if self.den == 2 else body
 
 
-@dataclass(frozen=True, slots=True)
-class FundUnit:
+class FundUnit(_Record):
     """Fundamental unit > 1 of the maximal order of a real quadratic field."""
 
-    elem: QuadElem
-    unit_norm: int
+    __slots__ = ("elem", "unit_norm")
 
-    def __post_init__(self) -> None:
-        if self.unit_norm not in (-1, 1) or self.elem.norm() != self.unit_norm:
+    def __init__(self, elem: QuadElem, unit_norm: int) -> None:
+        set_elem, set_unit_norm = self._setters
+        set_elem(self, elem)
+        set_unit_norm(self, unit_norm)
+        if unit_norm not in (-1, 1) or elem.norm() != unit_norm:
             raise ValueError("unit norm mismatch")
-        if self.elem.x <= 0 or self.elem.y <= 0:
+        if elem.x <= 0 or elem.y <= 0:
             raise ValueError("the fundamental unit is taken > 1")
 
 

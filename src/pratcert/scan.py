@@ -17,12 +17,11 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
 from itertools import islice, tee
 from typing import Any, Iterator
 
 from ._version import __version__
-from .arith import _PRIME_BOUND, is_prime, kronecker
+from .arith import _PRIME_BOUND, _Record, is_prime, kronecker
 from .criteria import (
     CERTIFIED_FREE,
     NOT_CERTIFIED,
@@ -47,22 +46,36 @@ __all__ = [
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True, slots=True)
-class ScanRecord:
+class ScanRecord(_Record):
     """One cached certification outcome for a single (p, q, d).
 
     facts carries every quantity the verdict consumed plus the failure
     reasons, so the verdict can be re-derived without recomputation.
     """
 
-    schema_version: int
-    tool_version: str
-    p: int
-    q: int
-    d: int
-    verdict: str
-    rank: int | None
-    facts: dict[str, Any]
+    __slots__ = ("schema_version", "tool_version", "p", "q", "d", "verdict", "rank", "facts")
+
+    def __init__(
+        self,
+        schema_version: int,
+        tool_version: str,
+        p: int,
+        q: int,
+        d: int,
+        verdict: str,
+        rank: int | None,
+        facts: dict[str, Any],
+    ) -> None:
+        (set_schema_version, set_tool_version, set_p, set_q, set_d, set_verdict,
+         set_rank, set_facts) = self._setters
+        set_schema_version(self, schema_version)
+        set_tool_version(self, tool_version)
+        set_p(self, p)
+        set_q(self, q)
+        set_d(self, d)
+        set_verdict(self, verdict)
+        set_rank(self, rank)
+        set_facts(self, facts)
 
     def to_json_line(self) -> str:
         return _ENCODER.encode({name: getattr(self, name) for name in self.__slots__})
@@ -145,7 +158,9 @@ def _load_cache(path: str, p: int, d: int) -> dict[int, ScanRecord]:
     (p, q, d)), warn and are skipped, so their q is computed afresh.  judge
     takes an invalid list at its word, so only a line that claims one is
     checked against the family conditions; a certified q is guarded by
-    _validate_emitted.
+    _validate_emitted.  A kept record takes its reasons and invalid lists
+    from that check, and its mode through sys.intern, so its strings are
+    the certifier's own, as a fresh record's are.
     """
     records: dict[int, ScanRecord] = {}
     unreadable = misjudged = 0
@@ -174,13 +189,21 @@ def _load_cache(path: str, p: int, d: int) -> dict[int, ScanRecord]:
             except ValueError:
                 unreadable += 1
                 continue
-            verdict, reasons = judge(p, rec.q, d, rec.facts)
+            facts = rec.facts
+            verdict, reasons = judge(p, rec.q, d, facts)
             judged = (verdict, RANK[verdict], list(reasons))
-            if (rec.verdict, rec.rank, rec.facts.get("reasons")) != judged or (
-                "invalid" in rec.facts and rec.facts["invalid"] != family_violations(p, rec.q, d)
+            invalid = family_violations(p, rec.q, d) if "invalid" in facts else None
+            if (rec.verdict, rec.rank, facts.get("reasons")) != judged or (
+                invalid is not None and facts["invalid"] != invalid
             ):
                 misjudged += 1
                 continue
+            # equal lists, whose strings are the certifier's own
+            facts["reasons"] = judged[2]
+            if invalid is not None:
+                facts["invalid"] = invalid
+            if type(facts.get("mode")) is str:
+                facts["mode"] = sys.intern(facts["mode"])
             records[rec.q] = rec
     for count, kind in ((unreadable, "unreadable"), (misjudged, "misjudged")):
         if count:
@@ -294,12 +317,15 @@ def scan_q(
     return [rec.q for rec in _scan(p, d, q_max, cache, jobs) if rec.verdict == CERTIFIED_FREE]
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(_Record):
     """One table row: the certified q values for a single p."""
 
-    p: int
-    certified: tuple[int, ...]
+    __slots__ = ("p", "certified")
+
+    def __init__(self, p: int, certified: tuple[int, ...]) -> None:
+        set_p, set_certified = self._setters
+        set_p(self, p)
+        set_certified(self, certified)
 
 
 def reproduce_table(

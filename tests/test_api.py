@@ -5,12 +5,21 @@ from __future__ import annotations
 
 import ast
 import importlib
+import pickle
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import pratcert
+from pratcert.arith import factor
+from pratcert.classno import h_imaginary
+from pratcert.criteria import FreenessReport, certify_freeness, prat_imag
+from pratcert.localfield import classify_splitting
+from pratcert.quadratic import QuadElem, fundamental_unit, make_field
+from pratcert.scan import TableRow, record_for
 
 SRC = Path(pratcert.__file__).resolve().parent
 ORACLES = Path(__file__).resolve().parent / "_oracles.py"
@@ -89,9 +98,10 @@ def test_every_exported_name_is_reached_from_src(bench_spans) -> None:
 
 def test_import_loads_no_process_pool(tmp_path) -> None:
     # only a scan with fresh records to compute and jobs > 1 needs the pool,
-    # so neither the import nor a fully cached resume loads it; site may
-    # preload modules, so a fresh interpreter compares sys.modules around
-    # its own import
+    # so neither the import nor a fully cached resume loads it; the record
+    # classes are written by hand, so the import loads no code generator
+    # either; site may preload modules, so a fresh interpreter compares
+    # sys.modules around its own import
     cache = str(tmp_path / "scan.jsonl")
     probe = f"""
 import sys
@@ -102,6 +112,8 @@ def pool_modules():
     return sorted(m for m in added if m.split(".")[0] in ("concurrent", "multiprocessing"))
 import pratcert, pratcert.cli
 print(pool_modules())
+generators = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+print(sorted(set(generators) & (set(sys.modules) - before)))
 from pratcert.scan import scan_q
 serial = scan_q(7, 2, 2000, cache={cache!r}, jobs=1)
 print(scan_q(7, 2, 2000, cache={cache!r}, jobs=2) == serial, pool_modules())
@@ -111,7 +123,99 @@ print(scan_q(7, 2, 2000, jobs=2) == serial)
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
     )
     assert child.returncode == 0, child.stderr
-    assert child.stdout.splitlines() == ["[]", "True []", "True"]
+    assert child.stdout.splitlines() == ["[]", "[]", "True []", "True"]
+
+
+def _records() -> list:
+    report = prat_imag(2, 5)
+    return [
+        factor(360),
+        h_imaginary(-23),
+        make_field(5),
+        QuadElem(make_field(5), 1, 1, 2),
+        fundamental_unit(make_field(5)),
+        classify_splitting(make_field(-1), 5),
+        report.checks[0],
+        report,
+        certify_freeness(7, 11, 2),
+        record_for(7, 11, 2),
+        TableRow(p=5, certified=(79, 109)),
+    ]
+
+
+# each record's repr as the dataclasses that the records were first
+# written as printed it
+RECORD_REPRS = [
+    "Factorization(n=360, sign=1, factors=((2, 3), (3, 2), (5, 1)))",
+    "ClassNumberResult(disc=-23, h=3, h_plus=None, method='reduced-form count')",
+    "QuadField(m=5, disc=5, is_real=True)",
+    "QuadElem(field=QuadField(m=5, disc=5, is_real=True), x=1, y=1, den=2)",
+    "FundUnit(elem=QuadElem(field=QuadField(m=5, disc=5, is_real=True), x=1, y=1, den=2),"
+    " unit_norm=-1)",
+    "LocalContext(p=5, field=QuadField(m=-1, disc=-4, is_real=False), kind='split',"
+    " sqrt_lifts=(7, 18))",
+    "Check(name='class_number_prime_to_p', value=1, passed=True)",
+    "PRationalityReport(field_desc='Q(sqrt(-2))', radicands=(-2,), p=5,"
+    " checks=(Check(name='class_number_prime_to_p', value=1, passed=True),), verdict=True)",
+    "FreenessReport(p=7, q=11, d=2, verdict='not_certified', rank=None, mode='exact',"
+    " facts={}, reasons=('parameters are outside the certified family',),"
+    " invalid=('q must be congruent to -1 modulo p',"
+    " '-d must be a quadratic non-residue modulo q'))",
+    "ScanRecord(schema_version=1, tool_version='0.1.0', p=7, q=11, d=2,"
+    " verdict='not_certified', rank=None, facts={'reasons':"
+    " ['parameters are outside the certified family'], 'invalid':"
+    " ['q must be congruent to -1 modulo p', '-d must be a quadratic non-residue modulo q']})",
+    "TableRow(p=5, certified=(79, 109))",
+]
+
+# records with a dict field, unhashable as before
+UNHASHABLE = {"FreenessReport", "ScanRecord"}
+
+
+def _stored(cls, values):
+    # the slots' member descriptors store past __init__'s checks, so one
+    # field can take a value no constructor would accept
+    rec = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values, strict=True):
+        getattr(cls, name).__set__(rec, value)
+    return rec
+
+
+def test_records_are_frozen_slotted_values() -> None:
+    records = _records()
+    assert [type(rec).__name__ for rec in records] == [
+        "Factorization", "ClassNumberResult", "QuadField", "QuadElem", "FundUnit",
+        "LocalContext", "Check", "PRationalityReport", "FreenessReport", "ScanRecord",
+        "TableRow",
+    ]
+    for rec, text in zip(records, RECORD_REPRS, strict=True):
+        cls = type(rec)
+        assert repr(rec) == text
+        values = tuple(getattr(rec, name) for name in cls.__slots__)
+        same = cls(*values)
+        assert same == rec and cls(**dict(zip(cls.__slots__, values))) == rec
+        assert rec != values
+        for i in range(len(values)):
+            other = values[:i] + (object(),) + values[i + 1 :]
+            assert _stored(cls, other) != rec
+        if cls.__name__ in UNHASHABLE:
+            with pytest.raises(TypeError):
+                hash(rec)
+        else:
+            assert hash(same) == hash(rec)
+        assert pickle.loads(pickle.dumps(rec)) == rec
+        for name in cls.__slots__ + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(rec, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(rec, name)
+        assert not hasattr(rec, "__dict__")
+        assert values == tuple(getattr(rec, name) for name in cls.__slots__)
+    # the defaults: den=1, and a report's facts a dict of its own
+    assert QuadElem(make_field(5), 1, 1) == QuadElem(make_field(5), 1, 1, 1)
+    first, second = (FreenessReport(5, 149, 2, "not_certified", None, "fast") for _ in "ab")
+    assert (first.facts, first.reasons, first.invalid) == ({}, (), ())
+    assert first.facts is not second.facts
 
 
 def test_oracles_import_nothing_from_pratcert() -> None:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import pickle
 import sys
@@ -19,6 +18,7 @@ from pratcert.criteria import (
     NOT_CERTIFIED,
     SCHEMA_VERSION,
     certify_freeness,
+    family_violations,
     judge,
 )
 from pratcert.scan import (
@@ -355,6 +355,21 @@ def test_resumed_records_hold_the_programs_own_strings(tmp_path) -> None:
         assert all(name is sys.intern(name) for name in rec.facts)
         assert rec.verdict is CERTIFIED_FREE or rec.verdict is NOT_CERTIFIED
         assert rec.tool_version is __version__
+    # the lists that re-judge the line stand in for the parsed ones: their
+    # strings are the certifier's, and each record keeps lists of its own
+    invalid = [rec for rec in resumed if "invalid" in rec.facts]
+    assert len(invalid) >= 5
+    for rec in invalid:
+        outside = certify_freeness(5, rec.q, 2).reasons
+        assert all(a is b for a, b in zip(rec.facts["reasons"], outside, strict=True))
+        violations = family_violations(5, rec.q, 2)
+        assert all(a is b for a, b in zip(rec.facts["invalid"], violations, strict=True))
+    modes = [rec.facts["mode"] for rec in resumed if "mode" in rec.facts]
+    assert len(modes) >= 5
+    assert all(mode is record_for(5, 149, 2).facts["mode"] for mode in modes)
+    for key in ("reasons", "invalid"):
+        held = [id(rec.facts[key]) for rec in resumed if key in rec.facts]
+        assert len(set(held)) == len(held)
 
 
 def test_resumed_records_cost_little_more_than_fresh_ones(tmp_path) -> None:
@@ -508,7 +523,7 @@ def test_certified_guard_rejects_congruence_violations() -> None:
 
 
 def test_reproduce_table_rows() -> None:
-    assert [f.name for f in dataclasses.fields(TableRow)] == ["p", "certified"]
+    assert TableRow.__slots__ == ("p", "certified")
     assert reproduce_table([5], 0, 2) == [TableRow(p=5, certified=())]
     assert reproduce_table([5, 7], 120, 2) == [
         TableRow(p=5, certified=(79, 109)),
