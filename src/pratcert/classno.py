@@ -5,18 +5,18 @@ the largest leading coefficient the call needs, N(a), the number of root
 classes of b^2 = D (mod 4a), sieved prime by prime from a multiplicative
 rule.  Imaginary fields: count reduced positive definite binary quadratic
 forms.  Below sqrt|D|/2 the forms with leading coefficient a are the N(a)
-root classes, summed from the table; above, the forms are built by CRT for
-only the a with N(a) > 0.  Real fields: walk the rho-cycles of reduced
-indefinite forms up to sign, started only at the root classes of the a <=
-sqrt(D)/2 with N(a) > 0, until they have covered every such form, counted
-from the same table beforehand.  The mirror (a, b, c) -> (c, b, a) reverses
-the cycles, so a cycle that is its own mirror is walked only between its
-two centres, and one that is not is walked once and counted with its
-mirror.  The wide h is the number of these cycles; the parity of the
-principal one is that of the unit's continued-fraction period, which gives
-the narrow h+.  Everything here is integer arithmetic; the analytic class
-number formulas that cross-examine these counts live in the test suite
-(tests/_oracles.py).
+root classes, summed from the table; above, the root classes of only the a
+with N(a) > 0 are combined by CRT and counted in place against 4a^2 + D.
+Real fields: walk the rho-cycles of reduced indefinite forms up to sign,
+started only at the root classes of the a <= sqrt(D)/2 with N(a) > 0, until
+they have covered every such form, counted from the same table beforehand.
+The mirror (a, b, c) -> (c, b, a) reverses the cycles, so a cycle that is
+its own mirror is walked only between its two centres, and one that is not
+is walked once and counted with its mirror.  The wide h is the number of
+these cycles; the parity of the principal one is that of the unit's
+continued-fraction period, which gives the narrow h+.  Everything here is
+integer arithmetic; the analytic class number formulas that cross-examine
+these counts live in the test suite (tests/_oracles.py).
 """
 
 from __future__ import annotations
@@ -176,17 +176,24 @@ class _RootTable:
         modulus = 2 ** (e + 1)
         residues = list(self._roots_mod(2, e + 2))
         n = a >> e
+        powers: list[tuple[int, int]] = []
         for l in self.small:
             if l * l > n:
                 break
-            if n % l == 0:
-                k = 0
-                while n % l == 0:
-                    n //= l
-                    k += 1
-                residues, modulus = _crt(residues, modulus, self._roots_mod(l, k), l**k)
+            k = 0
+            while n % l == 0:
+                n //= l
+                k += 1
+            if k:
+                powers.append((l, k))
         if n > 1:
-            residues, modulus = _crt(residues, modulus, self._roots_mod(n, 1), n)
+            powers.append((n, 1))
+        for l, k in powers:
+            q = l**k
+            # the classes mod modulus * q that are residues mod modulus and roots mod q
+            inv, roots = pow(modulus, -1, q), self._roots_mod(l, k)
+            residues = [r + modulus * ((t - r) * inv % q) for r in residues for t in roots]
+            modulus *= q
         return residues
 
     def _roots_mod(self, l: int, k: int) -> list[int]:
@@ -206,41 +213,6 @@ class _RootTable:
         return roots
 
 
-def _crt(residues: list[int], modulus: int, roots: list[int], q: int) -> tuple[list[int], int]:
-    # every class mod modulus * q that is one of residues mod modulus and
-    # one of roots mod q, for coprime modulus and q
-    inv = pow(modulus, -1, q)
-    return [r + modulus * ((t - r) * inv % q) for r in residues for t in roots], modulus * q
-
-
-def _reduced_forms(disc: int, table: _RootTable, a_lo: int = 1) -> Iterator[tuple[int, int, int]]:
-    """Reduced forms (a, b, c) of discriminant disc with a >= a_lo > 0, by a.
-
-    disc < 0: the reduced definite forms, |b| <= a <= c with b >= 0 when
-    |b| = a or a = c, so a <= sqrt(|disc|/3).  disc > 0, not a square: the
-    reduced indefinite forms with a > 0, 0 < b < sqrt(disc) and
-    sqrt(disc) - b < 2a < sqrt(disc) + b, so a <= isqrt(disc).
-
-    For each a, the b with b^2 = disc (mod 4a) form the N(a) root classes
-    mod 2a of the table, which must reach that bound on a; only the a with
-    N(a) > 0 are visited.
-    """
-    s = isqrt(abs(disc))
-    for a in table.rooted(a_lo, isqrt(-disc // 3) if disc < 0 else s):
-        two_a, four_a = 2 * a, 4 * a
-        if disc < 0:
-            for r in table.residues(a):
-                b = r if r <= a else r - two_a
-                c = (b * b - disc) // four_a
-                if c > a or (c == a and b >= 0):
-                    yield (a, b, c)
-        else:
-            lo = max(s - two_a + 1, two_a - s)
-            for r in table.residues(a):
-                for b in range(lo + (r - lo) % two_a, s + 1, two_a):
-                    yield (a, b, (b * b - disc) // four_a)
-
-
 def h_imaginary(disc: int) -> ClassNumberResult:
     """Class number of an imaginary quadratic field by counting reduced forms.
 
@@ -248,17 +220,26 @@ def h_imaginary(disc: int) -> ClassNumberResult:
     taking b >= 0 whenever |b| = a or a = c.  One root table is built up
     to a = sqrt(|disc|/3), the largest leading coefficient: O(sqrt|disc|)
     sieve steps and one Euler criterion per prime.  The forms with
-    a <= sqrt(|disc|)/2 are counted from it as root classes; those in the
-    top 13 % of a are built by CRT, for only the a with N(a) > 0.
+    a <= sqrt(|disc|)/2 are counted from it as root classes; in the top
+    13 % of a, the root classes of only the a with N(a) > 0 are built by
+    CRT and each counted in place, without building its form.
     """
     if disc >= 0:
         raise ValueError("disc must be negative")
     _require_fundamental(disc)
-    table = _RootTable(disc, isqrt(-disc // 3))
+    top = isqrt(-disc // 3)
+    table = _RootTable(disc, top)
     # 4a^2 < |disc|: c = (b^2 - disc)/(4a) > a for every b, so each root
     # class gives one reduced form
     x = isqrt(-disc - 1) // 2
-    h = table.count(x) + sum(1 for _ in _reduced_forms(disc, table, x + 1))
+    h = table.count(x)
+    # above x, the root class b in (-a, a] gives one when c > a, that is
+    # b^2 > 4a^2 + disc, or when c = a and b >= 0
+    for a in table.rooted(x + 1, top):
+        edge = 4 * a * a + disc
+        for r in table.residues(a):
+            b = r if r <= a else r - 2 * a
+            h += b * b > edge or (b * b == edge and b >= 0)
     return ClassNumberResult(disc=disc, h=h, h_plus=None, method="reduced-form count")
 
 
@@ -274,10 +255,18 @@ def reduced_indefinite_forms(disc: int) -> set[tuple[int, int, int]]:
     if disc <= 0:
         raise ValueError("disc must be positive")
     _require_fundamental(disc)
+    s = isqrt(disc)
+    table = _RootTable(disc, s)
     forms: set[tuple[int, int, int]] = set()
-    for a, b, c in _reduced_forms(disc, _RootTable(disc, isqrt(disc))):
-        forms.add((a, b, c))
-        forms.add((-a, b, -c))
+    for a in table.rooted(1, s):
+        # the reduced b: sqrt(disc) - 2a < b <= s and 2a - sqrt(disc) < b
+        two_a = 2 * a
+        lo = max(s - two_a + 1, two_a - s)
+        for r in table.residues(a):
+            for b in range(lo + (r - lo) % two_a, s + 1, two_a):
+                c = (b * b - disc) // (4 * a)
+                forms.add((a, b, c))
+                forms.add((-a, b, -c))
     return forms
 
 

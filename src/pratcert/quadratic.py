@@ -186,34 +186,6 @@ def _half_period(disc: int) -> tuple[int, list[int], int | None]:
         P, Q = P_next, Q_next
 
 
-def _omega_walk(disc: int, modulus: int | None = None) -> tuple[int, int, int]:
-    """(t, k, norm): 2*eps = t + k*sqrt(disc) for the fundamental unit
-    eps = k*omega + k_prev of discriminant ``disc``, norm = (-1)**L, with
-    (k, k_prev) the top row of M(u) [[c, 1], [1, 0]] M(u)^T, or of M(u) M(u)^T
-    without c, and k, k_prev reduced modulo ``modulus`` when set.  Exactly,
-    only the top row of M(u) is folded and t = isqrt(disc*k^2 + 4*norm);
-    modulo ``modulus`` both rows are, and t = k*P0 + 2*k_prev.
-    """
-    p0, quotients, c = _half_period(disc)
-    norm = -1 if c is None else 1
-    if modulus is None:
-        A, B = 1, 0
-        for a in quotients:
-            A, B = a * A + B, A
-        k = A * A + B * B if c is None else A * (c * A + 2 * B)
-        return isqrt(disc * k * k + 4 * norm), k, norm
-    # M(u) = [[A, B], [C, E]]
-    A, B, C, E = 1, 0, 0, 1
-    for a in quotients:
-        A, B, C, E = (a * A + B) % modulus, A, (a * C + E) % modulus, C
-    if c is None:
-        k, k_prev = A * A + B * B, A * C + B * E
-    else:
-        k, k_prev = A * (c * A + 2 * B), (c * A + B) * C + A * E
-    k, k_prev = k % modulus, k_prev % modulus
-    return k * p0 + 2 * k_prev, k, norm
-
-
 def unit_norm_sign(m: int) -> int:
     """Norm of the fundamental unit of Q(sqrt(m)) from the CF period alone."""
     # a middle quotient means an even period, and N(eps) = (-1)^L
@@ -224,7 +196,16 @@ def fundamental_unit(field: QuadField) -> FundUnit:
     """Fundamental unit > 1 of the maximal order, exact."""
     if not field.is_real:
         raise ValueError("imaginary quadratic fields have no fundamental unit")
-    t, k, norm = _omega_walk(field.disc)
+    _, quotients, c = _half_period(field.disc)
+    # 2 eps = t + k sqrt(disc): k is the top-left entry of
+    # M(u) [[c, 1], [1, 0]] M(u)^T, or of M(u) M(u)^T without c, so the top
+    # row (A, B) of M(u) gives it, and t^2 = disc k^2 + 4 N(eps)
+    A, B = 1, 0
+    for a in quotients:
+        A, B = a * A + B, A
+    k = A * A + B * B if c is None else A * (c * A + 2 * B)
+    norm = -1 if c is None else 1
+    t = isqrt(field.disc * k * k + 4 * norm)
     # sqrt(disc) is sqrt(m), or 2 sqrt(m) when disc = 4m
     y = k if field.disc == field.m else 2 * k
     return FundUnit(elem=QuadElem.make(field, t, y, den=2), unit_norm=norm)
@@ -243,7 +224,20 @@ def fundamental_unit_mod(field: QuadField, modulus: int) -> tuple[int, int, int]
         raise ValueError("modulus must be at least 2")
     if field.disc == field.m and modulus % 2 == 0:
         raise ValueError("the modulus must be odd when m = 1 (mod 4)")
-    t, k, norm = _omega_walk(field.disc, modulus)
+    p0, quotients, c = _half_period(field.disc)
+    # 2 eps = t + k sqrt(disc) with t = k P0 + 2 k_prev, (k, k_prev) the top
+    # row of M(u) [[c, 1], [1, 0]] M(u)^T, or of M(u) M(u)^T without c, and
+    # M(u) = [[A, B], [C, E]] folded modulo modulus
+    A, B, C, E = 1, 0, 0, 1
+    for a in quotients:
+        A, B, C, E = (a * A + B) % modulus, A, (a * C + E) % modulus, C
+    if c is None:
+        k, k_prev = A * A + B * B, A * C + B * E
+    else:
+        k, k_prev = A * (c * A + 2 * B), (c * A + B) * C + A * E
+    k, k_prev = k % modulus, k_prev % modulus
+    norm = -1 if c is None else 1
+    t = k * p0 + 2 * k_prev
     if field.disc == field.m:
         half = (modulus + 1) // 2
         return t * half % modulus, k * half % modulus, norm

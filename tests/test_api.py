@@ -7,6 +7,7 @@ import ast
 import importlib
 import pickle
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import pratcert
+from pratcert import classno
 from pratcert.arith import factor
 from pratcert.classno import h_imaginary
 from pratcert.criteria import FreenessReport, certify_freeness, prat_imag
@@ -23,6 +25,7 @@ from pratcert.scan import TableRow, record_for
 
 SRC = Path(pratcert.__file__).resolve().parent
 ORACLES = Path(__file__).resolve().parent / "_oracles.py"
+ROOT = SRC.parent.parent
 
 # exported, yet reached only from tests and from bench/spans.py, which wraps
 # them by name; they leave src/ together with their spans
@@ -62,6 +65,24 @@ def test_every_exported_name_resolves() -> None:
         assert len(set(mod.__all__)) == len(mod.__all__), mod.__name__
         for name in mod.__all__:
             assert hasattr(mod, name), f"{mod.__name__}.{name}"
+
+
+def test_private_names_in_the_docs_exist() -> None:
+    # a backticked private name, alone or called, as in `_half_period` or
+    # `_RootTable(disc, top)`, names a helper of a pratcert module or of
+    # the root table, so the docs cannot go on citing a deleted one
+    holders = [pratcert, *_submodules(), classno._RootTable]
+    docs = [*sorted((ROOT / "docs").glob("*.md")), ROOT / "README.md"]
+    cited = {
+        (path.name, name)
+        for path in docs
+        for name in re.findall(r"`(_\w+)[`(]", path.read_text(encoding="utf-8"))
+    }
+    assert {"_half_period", "_RootTable", "__version__"} <= {name for _, name in cited}
+    missing = {
+        (doc, name) for doc, name in cited if not any(hasattr(h, name) for h in holders)
+    }
+    assert missing == set()
 
 
 def test_every_exported_name_is_reached_from_src(bench_spans) -> None:

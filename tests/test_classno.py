@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pratcert import classno
-from pratcert.arith import factor, kronecker, sqrt_mod_prime_power
+from pratcert.arith import kronecker, sqrt_mod_prime_power
 from pratcert.classno import (
     _RootTable,
     h_imaginary,
@@ -324,30 +324,26 @@ def test_root_table_filter_is_exact():
 
 def test_roots_are_found_only_where_the_table_has_classes(monkeypatch):
     # h_imaginary builds root classes only for the top a with N(a) > 0, and
-    # combines by CRT one odd prime power of such an a at a time
-    residues, crt = _RootTable.residues, classno._crt
+    # they are exactly the b mod 2a with b^2 = disc (mod 4a)
+    residues = _RootTable.residues
     built: list[int] = []
-    moduli: list[int] = []
+    found: dict[int, list[int]] = {}
 
     def recording_residues(self, a):
         built.append(a)
-        return residues(self, a)
-
-    def recording_crt(rs, modulus, roots, q):
-        moduli.append(q)
-        return crt(rs, modulus, roots, q)
+        found[a] = residues(self, a)
+        return found[a]
 
     monkeypatch.setattr(_RootTable, "residues", recording_residues)
-    monkeypatch.setattr(classno, "_crt", recording_crt)
     for disc in _count_discs(-1) + _near_ten_million(-1, 1):
         built.clear()
-        moduli.clear()
+        found.clear()
         h_imaginary(disc)
         top = range(_counted_bound(disc) + 1, _form_bound(disc) + 1)
         assert built == [a for a in top if _brute_root_classes(disc, a)], disc
-        assert all(any(a % q == 0 for a in built) for q in moduli), disc
-        odd_primes = sum(sum(1 for l, _ in factor(a).factors if l > 2) for a in built)
-        assert len(moduli) == odd_primes, disc
+        for a in built:
+            brute = [b for b in range(2 * a) if (b * b - disc) % (4 * a) == 0]
+            assert sorted(found[a]) == brute, (disc, a)
 
 
 def test_imaginary_count_meets_enumeration():
