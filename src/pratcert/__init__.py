@@ -21,7 +21,7 @@ from .criteria import (
 )
 from .localfield import classify_splitting, is_pth_power_local, tower_places
 from .quadratic import FundUnit, QuadElem, QuadField, fundamental_unit, make_field
-from .scan import ScanRecord, TableRow, reproduce_table, scan_q, scan_records
+from .scan import TableRow, reproduce_table, scan_q, scan_records
 
 __all__ = [
     "CERTIFIED_FREE",
@@ -33,7 +33,6 @@ __all__ = [
     "PRationalityReport",
     "QuadElem",
     "QuadField",
-    "ScanRecord",
     "TableRow",
     "__version__",
     "certify_freeness",

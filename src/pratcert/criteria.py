@@ -14,6 +14,7 @@ spell this out (docs/algorithms.md).
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -55,6 +56,8 @@ CERTIFIED_FREE = "certified_free"
 NOT_CERTIFIED = "not_certified"
 
 SCHEMA_VERSION = 1
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _pd_conditions(
@@ -322,6 +325,24 @@ class FreenessReport(_Record):
             "invalid": list(self.invalid),
         }
 
+    def to_json_line(self) -> str:
+        """The report as one scan cache line: compact, key-sorted JSON whose
+        facts also carry its reasons, and its invalid list if it has one."""
+        facts = dict(self.facts)
+        facts["reasons"] = self.reasons
+        if self.invalid:
+            facts["invalid"] = self.invalid
+        return _ENCODER.encode({
+            "schema_version": SCHEMA_VERSION,
+            "tool_version": __version__,
+            "p": self.p,
+            "q": self.q,
+            "d": self.d,
+            "verdict": self.verdict,
+            "rank": self.rank,
+            "facts": facts,
+        })
+
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "FreenessReport":
         if data.get("schema_version") != SCHEMA_VERSION:
@@ -387,7 +408,7 @@ def judge(
 
     The rules run stage by stage.  After the first stage with a failing
     rule, judging stops where the facts stop, as a lazy certificate does;
-    before it, a missing fact fails.  A scan record's facts carry
+    before it, a missing fact fails.  A cache line's facts carry
     ``invalid`` when (p, q, d) is outside the family.  The verdict is
     CERTIFIED_FREE, of rank RANK[verdict] = 2, iff no rule fails.
 

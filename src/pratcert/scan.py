@@ -1,10 +1,12 @@
 """Sweep over q for fixed (p, d), with a resumable line cache.
 
-A scan is one pass over the candidates in ascending q, whatever the worker
-count.  Each record comes from the cache, or is computed afresh (for jobs > 1
-by a process pool, one batch of _BATCH_PER_JOB tasks per worker at a time),
-appended to the cache (append-only JSON lines) and flushed, then checked and
-handed on.  So a scan holds its cached records, one batch and what its
+A scan's record of a candidate q is its lazy certificate on the reduced-unit
+path, the FreenessReport of record_for, and its cache line is that report's
+to_json_line.  A scan is one pass over the candidates in ascending q,
+whatever the worker count.  Each record comes from the cache, or is computed
+afresh (for jobs > 1 by a process pool, one batch of _BATCH_PER_JOB tasks per
+worker at a time), appended to the cache (append-only JSON lines) and
+flushed, then checked and handed on.  So a scan holds its cached records, one batch and what its
 caller keeps, and an interrupt loses at most the batch in flight.  Cache
 lines are re-judged, not trusted: stale or foreign lines are ignored, and a
 line whose verdict, rank or reasons disagree with criteria.judge of its
@@ -17,7 +19,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from itertools import islice, tee
+from itertools import islice, starmap, tee
 from typing import Any, Iterator
 
 from ._version import __version__
@@ -27,6 +29,7 @@ from .criteria import (
     NOT_CERTIFIED,
     RANK,
     SCHEMA_VERSION,
+    FreenessReport,
     certify_freeness,
     family_violations,
     judge,
@@ -34,7 +37,6 @@ from .criteria import (
 from .localfield import _require_p
 
 __all__ = [
-    "ScanRecord",
     "TableRow",
     "record_for",
     "reproduce_table",
@@ -43,101 +45,10 @@ __all__ = [
 ]
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-class ScanRecord(_Record):
-    """One cached certification outcome for a single (p, q, d).
-
-    facts carries every quantity the verdict consumed plus the failure
-    reasons, so the verdict can be re-derived without recomputation.
-    """
-
-    __slots__ = ("schema_version", "tool_version", "p", "q", "d", "verdict", "rank", "facts")
-
-    def __init__(
-        self,
-        schema_version: int,
-        tool_version: str,
-        p: int,
-        q: int,
-        d: int,
-        verdict: str,
-        rank: int | None,
-        facts: dict[str, Any],
-    ) -> None:
-        (set_schema_version, set_tool_version, set_p, set_q, set_d, set_verdict,
-         set_rank, set_facts) = self._setters
-        set_schema_version(self, schema_version)
-        set_tool_version(self, tool_version)
-        set_p(self, p)
-        set_q(self, q)
-        set_d(self, d)
-        set_verdict(self, verdict)
-        set_rank(self, rank)
-        set_facts(self, facts)
-
-    def to_json_line(self) -> str:
-        return _ENCODER.encode({name: getattr(self, name) for name in self.__slots__})
-
-    @classmethod
-    def from_json_obj(cls, obj: dict[str, Any]) -> "ScanRecord":
-        """The record a parsed cache line describes.  A cache holds many
-        records at once, so their strings are the program's own where they
-        can be: fact names are interned (the certifier's keys are), and the
-        verdict and a current tool_version are the module's constants."""
-        if not isinstance(obj, dict):
-            raise ValueError("record must be a JSON object")
-        for key in ("schema_version", "p", "q", "d"):
-            if not isinstance(obj.get(key), int):
-                raise ValueError(f"field {key} must be an integer")
-        tool_version = obj.get("tool_version")
-        if not isinstance(tool_version, str):
-            raise ValueError("field tool_version must be a string")
-        for verdict in (CERTIFIED_FREE, NOT_CERTIFIED):
-            if obj.get("verdict") == verdict:
-                break
-        else:
-            raise ValueError("unknown verdict")
-        rank = obj.get("rank")
-        if rank is not None and not isinstance(rank, int):
-            raise ValueError("field rank must be an integer or null")
-        facts = obj.get("facts")
-        if not isinstance(facts, dict):
-            raise ValueError("field facts must be an object")
-        return cls(
-            schema_version=obj["schema_version"],
-            tool_version=__version__ if tool_version == __version__ else tool_version,
-            p=obj["p"],
-            q=obj["q"],
-            d=obj["d"],
-            verdict=verdict,
-            rank=rank,
-            facts={sys.intern(name): value for name, value in facts.items()},
-        )
-
-
-def record_for(p: int, q: int, d: int) -> ScanRecord:
-    """Certify one candidate on the reduced-unit path and wrap the outcome."""
-    report = certify_freeness(p, q, d, exact=False, lazy=True)
-    facts = dict(report.facts)
-    facts["reasons"] = list(report.reasons)
-    if report.invalid:
-        facts["invalid"] = list(report.invalid)
-    return ScanRecord(
-        schema_version=SCHEMA_VERSION,
-        tool_version=__version__,
-        p=p,
-        q=q,
-        d=d,
-        verdict=report.verdict,
-        rank=report.rank,
-        facts=facts,
-    )
-
-
-def _worker(args: tuple[int, int, int]) -> ScanRecord:
-    return record_for(*args)
+def record_for(p: int, q: int, d: int) -> FreenessReport:
+    """The record of one candidate: its lazy certificate on the reduced-unit
+    path, as a cache line holds it."""
+    return certify_freeness(p, q, d, exact=False, lazy=True)
 
 
 # the d and top-level p of a line in to_json_line's own form: compact and
@@ -146,7 +57,42 @@ def _worker(args: tuple[int, int, int]) -> ScanRecord:
 _WRITTEN_D_P = re.compile(r'\{"d":(-?(?:0|[1-9][0-9]*)),"facts":.*,"p":(-?(?:0|[1-9][0-9]*)),')
 
 
-def _load_cache(path: str, p: int, d: int) -> dict[int, ScanRecord]:
+def _decode(obj: Any, p: int, d: int) -> FreenessReport | None:
+    """The record that a parsed cache line of this (p, d) holds, or None if
+    the line is misjudged; ValueError if it is no record at all.
+
+    The record takes its reasons and invalid list from the re-judge, so its
+    strings are the certifier's own, as a fresh record's are; its fact names
+    and mode go through sys.intern, since a resume holds many records.
+    """
+    if not (
+        isinstance(obj, dict)
+        and all(isinstance(obj.get(key), int) for key in ("schema_version", "p", "q", "d"))
+        and obj.get("verdict") in (CERTIFIED_FREE, NOT_CERTIFIED)
+        and (obj.get("rank") is None or isinstance(obj.get("rank"), int))
+        and isinstance(obj.get("facts"), dict)
+    ):
+        raise ValueError("not a scan record")
+    q, facts = obj["q"], obj["facts"]
+    verdict, reasons = judge(p, q, d, facts)
+    invalid = family_violations(p, q, d) if "invalid" in facts else []
+    line = (obj["verdict"], obj["rank"], facts.get("reasons"), facts.get("invalid", []))
+    if line != (verdict, RANK[verdict], list(reasons), invalid):
+        return None
+    facts = {
+        sys.intern(name): value
+        for name, value in facts.items()
+        if name != "reasons" and name != "invalid"
+    }
+    if type(facts.get("mode")) is str:
+        facts["mode"] = sys.intern(facts["mode"])
+    # a line outside the family holds no facts but its reasons and invalid list
+    return FreenessReport(
+        p, q, d, verdict, RANK[verdict], facts.get("mode", "fast"), facts, reasons, tuple(invalid)
+    )
+
+
+def _load_cache(path: str, p: int, d: int) -> dict[int, FreenessReport]:
     """Cached records for this (p, d) keyed by q.
 
     A line in to_json_line's own form that names another d or p is skipped
@@ -158,11 +104,9 @@ def _load_cache(path: str, p: int, d: int) -> dict[int, ScanRecord]:
     (p, q, d)), warn and are skipped, so their q is computed afresh.  judge
     takes an invalid list at its word, so only a line that claims one is
     checked against the family conditions; a certified q is guarded by
-    _validate_emitted.  A kept record takes its reasons and invalid lists
-    from that check, and its mode through sys.intern, so its strings are
-    the certifier's own, as a fresh record's are.
+    _validate_emitted.
     """
-    records: dict[int, ScanRecord] = {}
+    records: dict[int, FreenessReport] = {}
     unreadable = misjudged = 0
     ours = (SCHEMA_VERSION, __version__, p, d)
     written_ours = (str(d), str(p))
@@ -185,26 +129,14 @@ def _load_cache(path: str, p: int, d: int) -> dict[int, ScanRecord]:
                     obj.get(key) for key in ("schema_version", "tool_version", "p", "d")
                 ):
                     continue
-                rec = ScanRecord.from_json_obj(obj)
+                rec = _decode(obj, p, d)
             except ValueError:
                 unreadable += 1
                 continue
-            facts = rec.facts
-            verdict, reasons = judge(p, rec.q, d, facts)
-            judged = (verdict, RANK[verdict], list(reasons))
-            invalid = family_violations(p, rec.q, d) if "invalid" in facts else None
-            if (rec.verdict, rec.rank, facts.get("reasons")) != judged or (
-                invalid is not None and facts["invalid"] != invalid
-            ):
+            if rec is None:
                 misjudged += 1
-                continue
-            # equal lists, whose strings are the certifier's own
-            facts["reasons"] = judged[2]
-            if invalid is not None:
-                facts["invalid"] = invalid
-            if type(facts.get("mode")) is str:
-                facts["mode"] = sys.intern(facts["mode"])
-            records[rec.q] = rec
+            else:
+                records[rec.q] = rec
     for count, kind in ((unreadable, "unreadable"), (misjudged, "misjudged")):
         if count:
             print(f"warning: skipped {count} {kind} cache line(s) in {path}", file=sys.stderr)
@@ -216,17 +148,18 @@ def _load_cache(path: str, p: int, d: int) -> dict[int, ScanRecord]:
 _BATCH_PER_JOB = 2048
 
 
-def _compute(tasks: Iterator[tuple[int, int, int]], jobs: int) -> Iterator[ScanRecord]:
+def _compute(tasks: Iterator[tuple[int, int, int]], jobs: int) -> Iterator[FreenessReport]:
     if jobs <= 1:
-        yield from map(_worker, tasks)
+        yield from starmap(record_for, tasks)
         return
     # imported here, not at the top: the pool pulls in multiprocessing, which
     # would otherwise slow every import of pratcert that never runs a pool
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(jobs) as pool:
         while batch := list(islice(tasks, _BATCH_PER_JOB * jobs)):
-            yield from pool.map(_worker, batch, chunksize=max(1, len(batch) // (4 * jobs)))
+            chunksize = max(1, len(batch) // (4 * jobs))
+            yield from pool.map(record_for, *zip(*batch), chunksize=chunksize)
 
 
 def _candidates(p: int, q_max: int) -> Iterator[int]:
@@ -247,7 +180,7 @@ def _require_scan_bounds(d: int, q_max: int, jobs: int) -> None:
         raise ValueError("jobs must be >= 1")
 
 
-def _scan(p: int, d: int, q_max: int, cache: str | None, jobs: int) -> Iterator[ScanRecord]:
+def _scan(p: int, d: int, q_max: int, cache: str | None, jobs: int) -> Iterator[FreenessReport]:
     """The scan as one pass; the candidates are tested once and teed, and the
     fresh stream reads ahead of the pass by at most one batch."""
     _require_p(p)
@@ -279,7 +212,7 @@ def _scan(p: int, d: int, q_max: int, cache: str | None, jobs: int) -> Iterator[
 
 def scan_records(
     p: int, d: int, q_max: int, *, cache: str | None = None, jobs: int = 1
-) -> list[ScanRecord]:
+) -> list[FreenessReport]:
     """Records for every candidate prime q <= q_max with q = -1 (mod p).
 
     Results arrive in ascending q independently of worker count.  With a
@@ -296,7 +229,7 @@ def scan_records(
     return list(_scan(p, d, q_max, cache, jobs))
 
 
-def _validate_emitted(rec: ScanRecord) -> None:
+def _validate_emitted(rec: FreenessReport) -> None:
     # guard: every certified q must satisfy the family congruences
     if rec.verdict == CERTIFIED_FREE and not (
         (rec.q + 1) % rec.p == 0

@@ -10,7 +10,9 @@ every q in GRID_Q for one (p, d) of the grid, in one of five modes:
   line                record_for(p, q, d).to_json_line();
   resumed             the repr of each record that scan_records(p, d,
                       max(GRID_Q)) resumes from a cache holding those lines,
-                      which the resume must leave as it was.
+                      which the resume must leave as it was; the records
+                      must equal record_for of the scan's candidates, so
+                      the line and lazy keys pin them too.
 
 A decade key "p=5 d=2 q=Q1,Q2 MODE" covers the fast and lazy reports of the
 two fixed family-valid q of one decade in DECADES, where the class numbers
@@ -31,7 +33,7 @@ from functools import cache
 from pathlib import Path
 
 from pratcert.criteria import FreenessReport, certify_freeness
-from pratcert.scan import record_for, scan_records
+from pratcert.scan import _candidates, record_for, scan_records
 
 DIGEST = Path(__file__).resolve().parent / "facts_digest.json"
 
@@ -76,6 +78,8 @@ def _resumed(p: int, d: int, lines: list[str]) -> list[str]:
         records = scan_records(p, d, GRID_Q[-1], cache=str(cache_path))
         if cache_path.read_text(encoding="utf-8") != written:
             raise AssertionError(f"p={p} d={d}: the resume recomputed cached records")
+    if records != [record_for(p, q, d) for q in _candidates(p, GRID_Q[-1])]:
+        raise AssertionError(f"p={p} d={d}: a resumed record is not the fresh one")
     return [repr(rec) for rec in records]
 
 

@@ -21,7 +21,7 @@ from pratcert.classno import h_imaginary
 from pratcert.criteria import FreenessReport, certify_freeness, prat_imag
 from pratcert.localfield import classify_splitting
 from pratcert.quadratic import QuadElem, fundamental_unit, make_field
-from pratcert.scan import TableRow, record_for
+from pratcert.scan import TableRow
 
 SRC = Path(pratcert.__file__).resolve().parent
 ORACLES = Path(__file__).resolve().parent / "_oracles.py"
@@ -159,7 +159,6 @@ def _records() -> list:
         report.checks[0],
         report,
         certify_freeness(7, 11, 2),
-        record_for(7, 11, 2),
         TableRow(p=5, certified=(79, 109)),
     ]
 
@@ -182,15 +181,11 @@ RECORD_REPRS = [
     " facts={}, reasons=('parameters are outside the certified family',),"
     " invalid=('q must be congruent to -1 modulo p',"
     " '-d must be a quadratic non-residue modulo q'))",
-    "ScanRecord(schema_version=1, tool_version='0.1.0', p=7, q=11, d=2,"
-    " verdict='not_certified', rank=None, facts={'reasons':"
-    " ['parameters are outside the certified family'], 'invalid':"
-    " ['q must be congruent to -1 modulo p', '-d must be a quadratic non-residue modulo q']})",
     "TableRow(p=5, certified=(79, 109))",
 ]
 
 # records with a dict field, unhashable as before
-UNHASHABLE = {"FreenessReport", "ScanRecord"}
+UNHASHABLE = {"FreenessReport"}
 
 
 def _stored(cls, values):
@@ -206,8 +201,7 @@ def test_records_are_frozen_slotted_values() -> None:
     records = _records()
     assert [type(rec).__name__ for rec in records] == [
         "Factorization", "ClassNumberResult", "QuadField", "QuadElem", "FundUnit",
-        "LocalContext", "Check", "PRationalityReport", "FreenessReport", "ScanRecord",
-        "TableRow",
+        "LocalContext", "Check", "PRationalityReport", "FreenessReport", "TableRow",
     ]
     for rec, text in zip(records, RECORD_REPRS, strict=True):
         cls = type(rec)

@@ -17,12 +17,12 @@ from pratcert.criteria import (
     CERTIFIED_FREE,
     NOT_CERTIFIED,
     SCHEMA_VERSION,
+    FreenessReport,
     certify_freeness,
     family_violations,
     judge,
 )
 from pratcert.scan import (
-    ScanRecord,
     TableRow,
     _candidates,
     _validate_emitted,
@@ -33,44 +33,40 @@ from pratcert.scan import (
 )
 
 
-def lines_of(records: list[ScanRecord]) -> list[str]:
+def lines_of(records: list[FreenessReport]) -> list[str]:
     return [rec.to_json_line() for rec in records]
 
 
 def test_record_for_wraps_direct_certification() -> None:
     rec = record_for(7, 13, 2)
-    report = certify_freeness(7, 13, 2, exact=False, lazy=True)
-    assert rec.schema_version == SCHEMA_VERSION
-    assert rec.tool_version == __version__
-    assert (rec.p, rec.q, rec.d) == (7, 13, 2)
-    assert rec.verdict == CERTIFIED_FREE == report.verdict
-    assert rec.rank == 2
-    assert rec.facts["reasons"] == []
-    assert "invalid" not in rec.facts
-    base = dict(rec.facts)
-    del base["reasons"]
-    assert base == dict(report.facts)
+    assert rec == certify_freeness(7, 13, 2, exact=False, lazy=True)
+    assert (rec.p, rec.q, rec.d, rec.verdict, rec.rank) == (7, 13, 2, CERTIFIED_FREE, 2)
+    assert (rec.reasons, rec.invalid) == ((), ())
+    line = json.loads(rec.to_json_line())
+    assert (line["schema_version"], line["tool_version"]) == (SCHEMA_VERSION, __version__)
+    assert line["facts"] == {**rec.facts, "reasons": []}
 
 
 def test_record_for_invalid_candidate_lists_violations() -> None:
     # -2 = 6**2 (mod 19), so q=19 fails the residue condition for d=2
     rec = record_for(5, 19, 2)
-    assert rec.verdict == NOT_CERTIFIED
-    assert rec.rank is None
-    assert rec.facts == {
+    assert rec == certify_freeness(5, 19, 2, exact=False, lazy=True)
+    assert (rec.verdict, rec.rank, rec.mode, rec.facts) == (NOT_CERTIFIED, None, "fast", {})
+    assert json.loads(rec.to_json_line())["facts"] == {
         "reasons": ["parameters are outside the certified family"],
         "invalid": ["-d must be a quadratic non-residue modulo q"],
     }
 
 
-def test_json_line_is_canonical_and_round_trips() -> None:
-    for args in ((7, 13, 2), (5, 19, 2), (5, 149, 2)):
-        rec = record_for(*args)
+def test_json_line_is_canonical_and_round_trips(tmp_path) -> None:
+    cache = tmp_path / "scan.jsonl"
+    for p, q, d in ((7, 13, 2), (5, 19, 2), (5, 149, 2)):
+        rec = record_for(p, q, d)
         line = rec.to_json_line()
-        obj = json.loads(line)
-        assert ScanRecord.from_json_obj(obj) == rec
-        assert line == json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
         assert "\n" not in line
+        cache.write_text(line + "\n", encoding="utf-8")
+        assert scan._load_cache(str(cache), p, d) == {q: rec}
 
 
 def test_records_are_slotted_and_pickle_to_themselves() -> None:
@@ -80,22 +76,25 @@ def test_records_are_slotted_and_pickle_to_themselves() -> None:
         assert pickle.loads(pickle.dumps(rec)) == rec
 
 
-def test_from_json_obj_rejects_malformed_records() -> None:
-    good = json.loads(record_for(7, 13, 2).to_json_line())
-    cases = [
-        ([1, 2], "record must be a JSON object"),
-        ({**good, "q": "13"}, "field q must be an integer"),
-        ({**good, "tool_version": 1}, "field tool_version must be a string"),
-        ({**good, "verdict": "MAYBE"}, "unknown verdict"),
-        ({**good, "rank": "2"}, "field rank must be an integer or null"),
-        ({**good, "facts": []}, "field facts must be an object"),
+def test_malformed_cache_lines_are_unreadable(tmp_path, capsys) -> None:
+    # a line of this scan's (p, d) and version that holds no record warns
+    # and is skipped, so its q is computed afresh
+    record = record_for(7, 13, 2)
+    good = json.loads(record.to_json_line())
+    malformed = [
+        [1, 2],
+        {**good, "p": 7.0},
+        {**good, "q": "13"},
+        {**good, "verdict": "MAYBE"},
+        {**good, "rank": "2"},
+        {**good, "facts": []},
     ]
-    missing = dict(good)
-    del missing["schema_version"]
-    cases.append((missing, "field schema_version must be an integer"))
-    for obj, message in cases:
-        with pytest.raises(ValueError, match=message):
-            ScanRecord.from_json_obj(obj)
+    cache = tmp_path / "scan.jsonl"
+    for obj in malformed:
+        cache.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        assert scan_records(7, 2, 13, cache=str(cache)) == [record], obj
+        err = capsys.readouterr().err
+        assert f"warning: skipped 1 unreadable cache line(s) in {cache}" in err, obj
 
 
 def test_scan_q_known_rows() -> None:
@@ -109,9 +108,9 @@ def test_scan_records_covers_every_candidate() -> None:
     assert [rec.q for rec in records] == [19, 29, 59, 79, 89, 109]
     assert [rec.q for rec in records if rec.verdict == CERTIFIED_FREE] == [79, 109]
     by_q = {rec.q: rec for rec in records}
-    assert "invalid" in by_q[19].facts
-    assert "invalid" not in by_q[29].facts
-    assert by_q[29].facts["reasons"]
+    assert by_q[19].invalid
+    assert not by_q[29].invalid
+    assert by_q[29].reasons
     expected = [q for q in primes_up_to(120) if (q + 1) % 5 == 0]
     assert [rec.q for rec in records] == expected
 
@@ -278,9 +277,8 @@ def test_stale_tool_version_line_is_recomputed(tmp_path) -> None:
     cache = tmp_path / "scan.jsonl"
     cache.write_text(json.dumps(stale, sort_keys=True) + "\n", encoding="utf-8")
     records = scan_records(5, 2, 20, cache=str(cache))
-    assert [rec.q for rec in records] == [19]
-    assert records[0].tool_version == __version__
-    assert records[0] == fresh
+    assert records == [fresh]
+    assert cache.read_text(encoding="utf-8").splitlines()[-1] == fresh.to_json_line()
 
 
 def test_foreign_cache_lines_are_ignored(tmp_path) -> None:
@@ -325,7 +323,7 @@ def test_cache_load_factors_d_once(tmp_path, monkeypatch) -> None:
 
     cache = tmp_path / "scan.jsonl"
     records = scan_records(5, 6, 500, cache=str(cache))
-    assert sum("invalid" in rec.facts for rec in records) > 10
+    assert sum(bool(rec.invalid) for rec in records) > 10
     monkeypatch.setattr(criteria, "factor", counting_factor)
     assert scan_records(5, 6, 500, cache=str(cache)) == records
     assert calls.count(6) <= 1
@@ -336,7 +334,7 @@ def test_cache_load_proves_p_prime_once(tmp_path, monkeypatch) -> None:
     # and those on p and d alone are decided once per pair, not per line
     cache = tmp_path / "scan.jsonl"
     records = scan_records(7, 2, 3000, cache=str(cache))
-    assert sum("invalid" in rec.facts for rec in records) > 30
+    assert sum(bool(rec.invalid) for rec in records) > 30
     calls = []
     real_is_prime = criteria.is_prime
     monkeypatch.setattr(criteria, "is_prime", lambda n: calls.append(n) or real_is_prime(n))
@@ -354,22 +352,21 @@ def test_resumed_records_hold_the_programs_own_strings(tmp_path) -> None:
     for rec in resumed:
         assert all(name is sys.intern(name) for name in rec.facts)
         assert rec.verdict is CERTIFIED_FREE or rec.verdict is NOT_CERTIFIED
-        assert rec.tool_version is __version__
-    # the lists that re-judge the line stand in for the parsed ones: their
-    # strings are the certifier's, and each record keeps lists of its own
-    invalid = [rec for rec in resumed if "invalid" in rec.facts]
+    # the reasons and invalid list that re-judge the line stand in for the
+    # parsed ones: their strings are the certifier's
+    invalid = [rec for rec in resumed if rec.invalid]
     assert len(invalid) >= 5
     for rec in invalid:
         outside = certify_freeness(5, rec.q, 2).reasons
-        assert all(a is b for a, b in zip(rec.facts["reasons"], outside, strict=True))
+        assert all(a is b for a, b in zip(rec.reasons, outside, strict=True))
         violations = family_violations(5, rec.q, 2)
-        assert all(a is b for a, b in zip(rec.facts["invalid"], violations, strict=True))
-    modes = [rec.facts["mode"] for rec in resumed if "mode" in rec.facts]
-    assert len(modes) >= 5
-    assert all(mode is record_for(5, 149, 2).facts["mode"] for mode in modes)
-    for key in ("reasons", "invalid"):
-        held = [id(rec.facts[key]) for rec in resumed if key in rec.facts]
-        assert len(set(held)) == len(held)
+        assert all(a is b for a, b in zip(rec.invalid, violations, strict=True))
+    assert sum("mode" in rec.facts for rec in resumed) >= 5
+    fast = record_for(5, 149, 2).mode
+    for rec in resumed:
+        assert rec.mode is fast and rec.facts.get("mode", fast) is fast
+    # each record keeps a facts dict of its own
+    assert len({id(rec.facts) for rec in resumed}) == len(resumed)
 
 
 def test_resumed_records_cost_little_more_than_fresh_ones(tmp_path) -> None:
@@ -448,11 +445,11 @@ def test_parallel_scan_across_batch_boundaries_matches_serial(tmp_path, monkeypa
     assert sum(batches) == len(serial) and max(batches) == 2 and len(batches) > 10
 
 
-def _distinct_record(p: int, q: int, d: int) -> ScanRecord:
+def _distinct_record(p: int, q: int, d: int) -> FreenessReport:
     # a payload of its own per record: a shared constant would hide the
     # growth of a scan that keeps its records
     payload = {"payload": f"{q:0>64}"}
-    return ScanRecord(SCHEMA_VERSION, __version__, p, q, d, NOT_CERTIFIED, None, payload)
+    return FreenessReport(p, q, d, NOT_CERTIFIED, None, "fast", payload)
 
 
 def test_scan_memory_does_not_grow_with_q_max(monkeypatch) -> None:
@@ -476,7 +473,7 @@ def test_interrupted_scan_keeps_every_earlier_record(tmp_path, monkeypatch) -> N
     computed: list[int] = []
     opened = []
 
-    def interrupted(p: int, q: int, d: int) -> ScanRecord:
+    def interrupted(p: int, q: int, d: int) -> FreenessReport:
         computed.append(q)
         if len(computed) == k:
             raise KeyboardInterrupt
@@ -497,16 +494,14 @@ def test_interrupted_scan_keeps_every_earlier_record(tmp_path, monkeypatch) -> N
     assert cache.read_text(encoding="utf-8").splitlines() == baseline
 
 
-def fake_record(p: int, q: int, d: int, verdict: str) -> ScanRecord:
-    return ScanRecord(
-        schema_version=SCHEMA_VERSION,
-        tool_version=__version__,
+def fake_record(p: int, q: int, d: int, verdict: str) -> FreenessReport:
+    return FreenessReport(
         p=p,
         q=q,
         d=d,
         verdict=verdict,
         rank=2 if verdict == CERTIFIED_FREE else None,
-        facts={},
+        mode="fast",
     )
 
 
