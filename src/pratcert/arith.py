@@ -348,6 +348,11 @@ def _tonelli_shanks(a: int, p: int) -> int:
     a %= p
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
+    if p % 8 == 5:
+        # Atkin: 2 is a non-residue, so i = t v^2 has i^2 = -1 and (a v (i - 1))^2 = a
+        t = 2 * a % p
+        v = pow(t, (p - 5) // 8, p)
+        return a * v * (t * v * v - 1) % p
     z = 2
     while pow(z, (p - 1) // 2, p) != p - 1:
         z += 1

@@ -82,13 +82,14 @@ class _RootTable:
     (disc/l) = -1 divides n, or l^2 divides n for a prime l dividing disc;
     otherwise it is 2^k, k the number of primes with (disc/l) = 1 dividing
     n.  The table keeps k, or _DEAD for 0, in one byte per odd n, sieved
-    prime by prime; a prime above top / 3 sets only its own byte.  For
+    prime by prime; a prime above top / 3 sets only its own byte.  It
+    keeps the prime sieve too, one byte per odd n, for residues.  For
     a = 2^e n, N(a) = two_adic[e] * N(n), two_adic[e] the number of roots
     b mod 2^(e+1) of b^2 = disc (mod 2^(e+2)) (docs/algorithms.md,
     section 3.1).
     """
 
-    __slots__ = ("disc", "exps", "two_adic", "small", "_roots")
+    __slots__ = ("disc", "prime", "exps", "two_adic", "small", "_roots")
 
     def __init__(self, disc: int, top: int) -> None:
         # odd n <= top at index n // 2
@@ -125,7 +126,7 @@ class _RootTable:
             r = disc % l
             if r:
                 exps[l >> 1] = 1 if pow(r, l >> 1, l) == 1 else _DEAD
-        self.disc, self.exps, self.small = disc, exps, small
+        self.disc, self.prime, self.exps, self.small = disc, prime, exps, small
         # modulus -> the roots of disc modulo it
         self._roots: dict[int, list[int]] = {}
         # T_0 = 1, then T_e = 2 (disc = 1 mod 8), T_1 = 1 (disc even) or none
@@ -168,27 +169,25 @@ class _RootTable:
         """The N(a) classes b mod 2a with b^2 = disc (mod 4a), for N(a) > 0.
 
         Combined by CRT from the roots of disc modulo 2^(e+1), e = v_2(a),
-        and modulo each odd prime power l^k || a, each found once per call
-        of the table.  No prime l with (disc/l) = -1 divides a, so trial
-        division by the other primes up to sqrt(a) factors it.
+        and modulo each odd prime power l^k || a as it is found.  No prime
+        l with (disc/l) = -1 divides a, so trial division by the others in
+        small stops at a cofactor that is 1 or that the prime sieve marks.
         """
         e = (a & -a).bit_length() - 1
         modulus = 2 ** (e + 1)
         residues = list(self._roots_mod(2, e + 2))
         n = a >> e
-        powers: list[tuple[int, int]] = []
-        for l in self.small:
-            if l * l > n:
-                break
-            k = 0
-            while n % l == 0:
-                n //= l
-                k += 1
-            if k:
-                powers.append((l, k))
-        if n > 1:
-            powers.append((n, 1))
-        for l, k in powers:
+        prime, small = self.prime, iter(self.small)
+        while n > 1:
+            if prime[n >> 1]:
+                l, k, n = n, 1, 1
+            else:
+                l, k = next(small), 0
+                while n % l == 0:
+                    n //= l
+                    k += 1
+                if not k:
+                    continue
             q = l**k
             # the classes mod modulus * q that are residues mod modulus and roots mod q
             inv, roots = pow(modulus, -1, q), self._roots_mod(l, k)
@@ -270,26 +269,26 @@ def reduced_indefinite_forms(disc: int) -> set[tuple[int, int, int]]:
     return forms
 
 
-def _walk(
-    disc: int, head: int, a0: int, b0: int, c0: int, seen: set[tuple[int, int]]
-) -> tuple[int, int, bool]:
+def _walk(disc: int, head: int, a0: int, b0: int, c0: int, seen: set[int]) -> tuple[int, int, bool]:
     """Walk the sign-free rho-cycle of (a0, b0, c0) up to its next centre.
 
-    Each walked form adds its key (b, min(a, c)) to seen and counts for
-    itself and its mirror (c, b, a): its head forms, (a <= head) + (c <= head),
-    and two half steps of the cycle's length; a node centre (a == c) is its
-    own mirror and counts once.  The walk stops after a node centre, before
-    an edge centre (a step that keeps b), or on returning to (a0, b0), and
-    returns the head forms, the half steps and whether it returned.
+    Each walked form adds its key b * (head + 1) + min(a, c) to seen and
+    counts for itself and its mirror (c, b, a): its head forms,
+    (a <= head) + (c <= head), and two half steps of the cycle's length; a
+    node centre (a == c) is its own mirror and counts once.  The walk stops
+    after a node centre, before an edge centre (a step that keeps b), or on
+    returning to (a0, b0), and returns the head forms, the half steps and
+    whether it returned.
     """
     s = isqrt(disc)
+    width = head + 1
     covered = length = 0
     a, b, c = a0, b0, c0
     while True:
         if a == c:
-            seen.add((b, a))
+            seen.add(b * width + a)
             return covered + (a <= head), length + 1, False
-        seen.add((b, a if a < c else c))
+        seen.add(b * width + (a if a < c else c))
         covered += (a <= head) + (c <= head)
         length += 2
         nb = s - (s + b) % (2 * c)
@@ -321,9 +320,9 @@ def h_plus_real(disc: int) -> ClassNumberResult:
     the cycle is walked, each form standing for itself and its mirror.  A
     walk that meets no centre returns to its start: the cycle's mirror is
     another cycle of the same length, counted with it.  Each walked form
-    leaves one key (b, min(a, c)) for itself and its mirror, a start whose
-    key is known is skipped, and the walks stop once they have covered
-    every head form, counted from the same table beforehand
+    leaves one key b * (head + 1) + min(a, c) for itself and its mirror, a
+    start whose key is known is skipped, and the walks stop once they have
+    covered every head form, counted from the same table beforehand
     (docs/algorithms.md, section 3.3).
     """
     if disc <= 0:
@@ -337,14 +336,14 @@ def h_plus_real(disc: int) -> ClassNumberResult:
     starts = (
         (a, s - (s - r) % (2 * a)) for a in table.rooted(1, head) for r in table.residues(a)
     )
-    # one key (b, min(a, c)) per walked form, for it and its mirror (c, b, a):
-    # every reduced form has min(a, c) <= head, so a start's key is here
+    # one key b * (head + 1) + min(a, c) per walked form and its mirror
+    # (c, b, a), one-to-one as 1 <= min(a, c) <= head: a start's key is here
     # once its cycle, or that cycle's mirror, has been walked
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()
     counted = cycles = 0
     for a0, b0 in starts:
         c0 = (disc - b0 * b0) // (4 * a0)
-        if (b0, a0 if a0 < c0 else c0) in seen:
+        if b0 * (head + 1) + (a0 if a0 < c0 else c0) in seen:
             continue
         # forward from the start to a centre, or round to the start
         covered, length, closed = _walk(disc, head, a0, b0, c0, seen)

@@ -75,9 +75,12 @@ def _decode(obj: Any, p: int, d: int) -> FreenessReport | None:
         raise ValueError("not a scan record")
     q, facts = obj["q"], obj["facts"]
     verdict, reasons = judge(p, q, d, facts)
-    invalid = family_violations(p, q, d) if "invalid" in facts else []
+    claimed = "invalid" in facts
+    invalid = family_violations(p, q, d) if claimed else []
     line = (obj["verdict"], obj["rank"], facts.get("reasons"), facts.get("invalid", []))
-    if line != (verdict, RANK[verdict], list(reasons), invalid):
+    # judge finds any facts that hold invalid not certified, so only a triple
+    # outside the family may claim an invalid list
+    if line != (verdict, RANK[verdict], list(reasons), invalid) or (claimed and not invalid):
         return None
     facts = {
         sys.intern(name): value
@@ -100,11 +103,11 @@ def _load_cache(path: str, p: int, d: int) -> dict[int, FreenessReport]:
     is not this scan's is skipped before it is validated; both silently,
     so one cache can serve many (p, d).  Unreadable lines, and misjudged
     ones (whose verdict, rank or reasons disagree with judge of their
-    facts, or whose invalid list is not family_violations of their
-    (p, q, d)), warn and are skipped, so their q is computed afresh.  judge
-    takes an invalid list at its word, so only a line that claims one is
-    checked against the family conditions; a certified q is guarded by
-    _validate_emitted.
+    facts, or whose invalid list is not the non-empty family_violations of
+    their (p, q, d)), warn and are skipped, so their q is computed afresh.
+    judge finds not_certified for any facts that hold an invalid list, so
+    a line may claim one only for a triple outside the family; a certified
+    q is guarded by _validate_emitted.
     """
     records: dict[int, FreenessReport] = {}
     unreadable = misjudged = 0

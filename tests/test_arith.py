@@ -343,6 +343,17 @@ def test_primes_up_to():
     assert all(is_prime(p) for p in sieve)
 
 
+def test_tonelli_shanks_squares_back_to_every_residue():
+    # one power for p = 3 (mod 4), Atkin's for p = 5 (mod 8), and
+    # Tonelli-Shanks for p = 1 (mod 8)
+    primes = primes_up_to(2000)[1:]
+    assert {p % 8 for p in primes} == {1, 3, 5, 7}
+    for p in primes:
+        for a in squares_mod(p):
+            y = arith._tonelli_shanks(a, p)
+            assert y * y % p == a, (a, p)
+
+
 def test_sqrt_mod_prime_power_matches_square_search():
     # odd p through Tonelli-Shanks and Newton, p = 2 and p | a by lifting
     for p, k_max in ((2, 7), (3, 5), (5, 3), (7, 3), (13, 2), (17, 1), (97, 1)):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import re
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -344,6 +347,39 @@ def test_roots_are_found_only_where_the_table_has_classes(monkeypatch):
         for a in built:
             brute = [b for b in range(2 * a) if (b * b - disc) % (4 * a) == 0]
             assert sorted(found[a]) == brute, (disc, a)
+
+
+def _digest_decade_qs(low: int) -> list[int]:
+    # the q of the facts digest's decade keys ("p=5 d=2 q=Q1,Q2 MODE") from low up
+    digest = Path(__file__).resolve().parent / "data" / "facts_digest.json"
+    keys = json.loads(digest.read_text(encoding="utf-8"))
+    decades = {match[1] for key in keys if (match := re.search(r" q=([0-9,]+) ", key))}
+    return sorted(q for qs in decades for q in map(int, qs.split(",")) if q >= low)
+
+
+def test_residues_give_every_root_class_at_the_scale_of_the_scans():
+    # the tables of h_imaginary(-40q) and h_plus_real(5q) for the digest's q
+    # near 10^8 and 10^9: residues(a) gives distinct roots b mod 2a of
+    # b^2 = disc (mod 4a), so at most N(a) of them, for every rooted a of
+    # the tail and of the head; their total equals the sum of N(a), so
+    # each a has exactly N(a) = count(a) - count(a - 1), and none is missing
+    qs = _digest_decade_qs(10**8)
+    assert len(qs) == 4 and min(qs) < 10**9 < max(qs)
+    for q in qs:
+        real = 5 * q if 5 * q % 4 == 1 else 20 * q
+        for disc, lo, hi in (
+            (-40 * q, _counted_bound(-40 * q) + 1, _form_bound(-40 * q)),
+            (real, 1, _counted_bound(real)),
+        ):
+            assert is_fundamental_discriminant(disc)
+            table = _RootTable(disc, hi)
+            total = 0
+            for a in table.rooted(lo, hi):
+                roots = table.residues(a)
+                assert len(set(roots)) == len(roots), (disc, a)
+                assert all(0 <= b < 2 * a and (b * b - disc) % (4 * a) == 0 for b in roots)
+                total += len(roots)
+            assert total == table.count(hi) - table.count(lo - 1), disc
 
 
 def test_imaginary_count_meets_enumeration():

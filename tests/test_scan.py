@@ -248,6 +248,23 @@ def test_cache_line_claiming_invalid_cannot_hide_a_certified_q(tmp_path, capsys)
     assert lines_of(scan_records(5, 2, 200, cache=str(cache))) == baseline
 
 
+def test_cache_line_claiming_an_empty_invalid_list_cannot_hide_a_certified_q(
+    tmp_path, capsys
+) -> None:
+    # judge finds any facts that hold invalid not certified, even an empty
+    # list, which is family_violations of the family-valid (5, 79, 2)
+    obj = json.loads(record_for(5, 79, 2).to_json_line())
+    facts = {"reasons": ["parameters are outside the certified family"], "invalid": []}
+    obj.update(verdict=NOT_CERTIFIED, rank=None, facts=facts)
+    assert judge(5, 79, 2, facts) == (NOT_CERTIFIED, tuple(facts["reasons"]))
+    assert family_violations(5, 79, 2) == []
+    cache = tmp_path / "scan.jsonl"
+    cache.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8")
+    assert scan_q(5, 2, 120, cache=str(cache)) == [79, 109]
+    err = capsys.readouterr().err
+    assert f"warning: skipped 1 misjudged cache line(s) in {cache}" in err
+
+
 def test_cache_line_missing_a_hypothesis_never_certifies() -> None:
     q, obj = _tampered_lines()["missing hypothesis fact"]
     assert obj["verdict"] == CERTIFIED_FREE and obj["facts"]["reasons"] == []
