@@ -1,9 +1,11 @@
 """Exact integer primitives shared by every other module.
 
-Primality is a deterministic Miller-Rabin test below 2**64 that runs only
-the first k prime witnesses, k the least with n below psi_k, the least
-strong pseudoprime to the first k primes (Jaeschke, Math. Comp. 61, 1993;
-Jiang-Deng, Math. Comp. 83, 2014): three witnesses below 25,326,001.
+Primality below 2**16 is one byte of an odd-only prime sieve built at
+import (32 KB).  From 2**16 up to 2**64 it is a deterministic Miller-Rabin
+test that runs only the first k prime witnesses, k the least with n below
+psi_k, the least strong pseudoprime to the first k primes (Jaeschke, Math.
+Comp. 61, 1993; Jiang-Deng, Math. Comp. 83, 2014): three witnesses below
+25,326,001.  The one-witness range, below psi_1 = 2047, is never reached.
 Factorization runs trial division up to 10**6, stops at a prime cofactor,
 and hands a composite one to Brent's variant of Pollard rho.  Nothing here
 uses floating point.
@@ -14,6 +16,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from contextlib import contextmanager
+from itertools import compress
 from math import gcd, isqrt
 from typing import Any, Iterator
 
@@ -45,20 +48,46 @@ _TRIAL_LIMIT = 10**6
 # every module that needs a primality decision checks its input against it
 _PRIME_BOUND = 1 << 64
 
+# is_prime looks up every n below this bound in _SMALL_ODD_PRIME
+_SMALL_BOUND = 1 << 16
+
+
+def _odd_prime_flags(top: int) -> bytearray:
+    # flags[n // 2] = 1 iff n is an odd prime, for the odd n <= top
+    half = (top + 1) // 2
+    flags = bytearray([1]) * half
+    if half:
+        flags[0] = 0
+    for i in range(1, (isqrt(top) + 1) // 2):
+        if flags[i]:
+            n = 2 * i + 1
+            flags[n * n // 2 :: n] = bytes(len(range(n * n // 2, half, n)))
+    return flags
+
+
+_SMALL_ODD_PRIME = bytes(_odd_prime_flags(_SMALL_BOUND - 1))
+
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < 2**64.
 
-    Inputs outside that range are rejected rather than answered
-    probabilistically.
+    Below 2**16 the answer is one byte of a sieve of the odd n, 32 KB
+    built at import; above, a Miller-Rabin test whose witnesses are
+    proven sufficient.  Inputs outside that range are rejected rather
+    than answered probabilistically.
     """
     if n < 0:
         raise ValueError("is_prime expects a nonnegative integer")
+    if n < _SMALL_BOUND:
+        return _SMALL_ODD_PRIME[n >> 1] == 1 if n & 1 else n == 2
     if n >= _PRIME_BOUND:
         raise ValueError("is_prime is deterministic only for 64-bit inputs")
+    return _miller_rabin(n)
+
+
+def _miller_rabin(n: int) -> bool:
+    # 2**16 <= n < 2**64, so n is none of the witnesses and needs at least two
     if gcd(n, _WITNESS_PRODUCT) != 1:
-        return n in _MR_WITNESSES
-    if n < 2:
         return False
     d = n - 1
     r = (d & -d).bit_length() - 1
@@ -332,15 +361,10 @@ def mult_order(a: int, m: int) -> int:
 
 
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by a plain sieve."""
+    """All primes <= n, read off the odd-only sieve."""
     if n < 2:
         return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, flag in enumerate(sieve) if flag]
+    return [2, *compress(range(1, n + 1, 2), _odd_prime_flags(n))]
 
 
 def _tonelli_shanks(a: int, p: int) -> int:

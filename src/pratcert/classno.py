@@ -25,7 +25,14 @@ from itertools import compress
 from math import isqrt
 from typing import Iterator
 
-from .arith import _PRIME_BOUND, _Record, _tonelli_shanks, factor, sqrt_mod_prime_power
+from .arith import (
+    _PRIME_BOUND,
+    _Record,
+    _odd_prime_flags,
+    _tonelli_shanks,
+    factor,
+    sqrt_mod_prime_power,
+)
 
 __all__ = [
     "ClassNumberResult",
@@ -93,14 +100,8 @@ class _RootTable:
 
     def __init__(self, disc: int, top: int) -> None:
         # odd n <= top at index n // 2
-        half = (top + 1) // 2
-        prime = bytearray([1]) * half
-        if half:
-            prime[0] = 0
-        for i in range(1, (isqrt(top) + 1) // 2):
-            if prime[i]:
-                n = 2 * i + 1
-                prime[n * n // 2 :: n] = bytes(len(range(n * n // 2, half, n)))
+        prime = _odd_prime_flags(top)
+        half = len(prime)
         exps = bytearray(half)
         dead = bytes([_DEAD])
         odd = range(1, top + 1, 2)

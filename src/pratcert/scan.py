@@ -167,7 +167,9 @@ def _compute(tasks: Iterator[tuple[int, int, int]], jobs: int) -> Iterator[Freen
 
 def _candidates(p: int, q_max: int) -> Iterator[int]:
     # only q = kp - 1 can be in the family: test those alone, so that time
-    # follows the candidates rather than every integer up to q_max
+    # follows the candidates rather than every integer up to q_max; a q
+    # below 2^16 is one byte of arith's import-time sieve, a larger one is
+    # a Miller-Rabin test
     return (q for q in range(p - 1, q_max + 1, p) if is_prime(q))
 
 

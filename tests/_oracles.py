@@ -96,6 +96,16 @@ def squares_mod(n: int) -> set[int]:
     return {x * x % n for x in range(1, n)} - {0}
 
 
+def prime_flags(top: int) -> bytearray:
+    """flags[n] = 1 exactly for the primes n <= top, sieved over every n."""
+    flags = bytearray([1]) * (top + 1)
+    flags[: min(2, top + 1)] = bytes(min(2, top + 1))
+    for p in range(2, isqrt(top) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, top + 1, p)))
+    return flags
+
+
 def _value_less(c1: tuple[int, int, int], c2: tuple[int, int, int], m: int) -> bool:
     # (x1 + y1 sqrt m)/d1 < (x2 + y2 sqrt m)/d2 with all parts positive,
     # decided in exact integer arithmetic

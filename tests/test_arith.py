@@ -18,7 +18,8 @@ from pratcert.arith import (
     primes_up_to,
     sqrt_mod_prime_power,
 )
-from _oracles import brute_factor, naive_kronecker_prime, squares_mod
+from pratcert.scan import record_for
+from _oracles import brute_factor, naive_kronecker_prime, prime_flags, squares_mod
 
 
 def test_is_prime_small_table():
@@ -116,6 +117,28 @@ def test_is_prime_matches_twelve_bases_in_every_table_range():
     for lo, hi in zip(bounds, bounds[1:]):
         for n in [lo, hi - 1] + [rng.randrange(lo, hi) | 1 for _ in range(2000)]:
             assert is_prime(n) == _twelve_base_miller_rabin(n), n
+
+
+def test_is_prime_runs_no_witness_below_two_to_the_16(monkeypatch):
+    # below 2^16 the answer is one byte of the import-time sieve, with no
+    # gcd and no witness, also inside the records of the paper's table
+    calls = []
+    witnesses = arith._miller_rabin
+    monkeypatch.setattr(arith, "_miller_rabin", lambda n: calls.append(n) or witnesses(n))
+    assert sum(map(is_prime, range(1 << 16))) == 6542
+    outside = record_for(5, 19, 2)
+    assert outside.invalid == ("-d must be a quadratic non-residue modulo q",)
+    stage_1 = record_for(5, 149, 2)
+    assert not stage_1.invalid and "mu_p_in_local_at_q" in stage_1.facts
+    assert calls == []
+    assert is_prime((1 << 16) + 1) and calls == [(1 << 16) + 1]
+
+
+def test_odd_prime_flags_match_a_sieve_over_every_n():
+    # the one sieve behind is_prime's table, primes_up_to and the class
+    # numbers' root tables: one byte per odd n <= top, at index n // 2
+    for top in (0, 1, 2, 3, 4, 9, 25, (1 << 16) - 1, 1 << 16, (1 << 16) + 1):
+        assert arith._odd_prime_flags(top) == prime_flags(top)[1::2], top
 
 
 def test_factor_examples():

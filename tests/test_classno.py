@@ -29,6 +29,7 @@ from _oracles import (
     h_real_analytic_oracle,
     is_fundamental_disc,
     kronecker as oracle_kronecker,
+    prime_flags,
 )
 
 
@@ -323,6 +324,13 @@ def test_root_table_filter_is_exact():
         assert [counts[a] - counts[a - 1] for a in range(1, a_max + 1)] == brute[1:], disc
         assert list(table.rooted(1, a_max)) == [a for a in range(1, a_max + 1) if brute[a]]
         assert table.count(a_max) == sum(brute), disc
+
+
+def test_root_table_keeps_the_odd_prime_sieve():
+    # residues stops dividing at a cofactor that table.prime marks prime
+    for disc in (-3, -4, 5, 8, -23, 380, -40 * 9967, 20 * 9967, -40 * 1000589, 5 * 1000589):
+        top = _form_bound(disc)
+        assert _RootTable(disc, top).prime == prime_flags(top)[1::2], disc
 
 
 def test_roots_are_found_only_where_the_table_has_classes(monkeypatch):
